@@ -73,6 +73,7 @@ from .transport import (
     grassmann_field,
     great_circle,
     holonomy,
+    linear_line_field,
     parallel_transport,
     small_circle,
 )

@@ -19,8 +19,9 @@ import numpy as np
 
 from .config_space import SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
+from .line_bundle import ChiVariant, chi_matrix
 from .section_algebra import ScalarField, _default_points
-from .transport import Curve, ProjectorField, constant_projector_field
+from .transport import Curve, ProjectorField, constant_projector_field, linear_line_field
 
 DIMENSION = 10
 SQRT2 = math.sqrt(2.0)
@@ -256,18 +257,13 @@ def projector_Pm(r: SpherePoint) -> np.ndarray:
     return u @ projector_P0() @ u.conj().T
 
 
-def exchange_line_field(m: int, block_fn: BlockFn | None = None) -> ProjectorField:
-    """The 10-dimensional line sub-bundle spanned by |1 m (r)>, as a projector field."""
+def exchange_line_field(m: int) -> ProjectorField:
+    """The line sub-bundle spanned by |1 m (r)> = -B_m chi_h(x), as a 10x10 projector field."""
     if m not in TRIPLET_MS:
         raise GeometryError(f"m must be one of {TRIPLET_MS}")
-    p0 = np.outer(triplet_vector(m, 0), triplet_vector(m, 0).conj())
-
-    def ev(xs):
-        theta, phi = angles_of(np.asarray(xs, dtype=float))
-        u = exchange_full_angles(theta, phi, block_fn)
-        return u @ p0 @ np.conj(np.swapaxes(u, -1, -2))
-
-    return ProjectorField(ev, DIMENSION, rank=1, even=True, rate=None, name=f"moved-line[m={m}]")
+    return linear_line_field(
+        block_matrix(m) @ chi_matrix(ChiVariant.ODD_HARMONIC), f"moved-line[m={m}]"
+    )
 
 
 def singlet_field() -> ProjectorField:

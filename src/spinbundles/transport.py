@@ -20,12 +20,12 @@ import numpy as np
 from .config_space import SpherePoint
 from .errors import FiberMembershipError, GeometryError
 from .kernels import rk4_transport_path
-from .line_bundle import ChiVariant, chi_matrix, projector_values
+from .line_bundle import ChiVariant, chi_matrix
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
 
-# Central-difference step for projector fields without an analytic rate.
+# Central-difference step for curves without an analytic velocity.
 FD_DT = 1e-6
 
 ENDPOINT_TOL = 1e-10
@@ -218,16 +218,13 @@ class ProjectorField:
     """A projector-valued field on the sphere.
 
     evaluate maps (..., 3) unit vectors to (..., n, n) Hermitian idempotents;
-    rate, when given, maps positions and velocities to the time derivative of
-    the field along a curve (otherwise central differences are used).  even
-    declares P(-x) = P(x), which is what lets the field descend to RP2.
+    rate maps positions and velocities to the time derivative of the field
+    along a curve.
     """
 
     evaluate: Callable[[np.ndarray], np.ndarray]
-    dim: int
+    rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     rank: int = 1
-    even: bool = True
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     name: str = "projector-field"
 
     def at(self, x: SpherePoint) -> np.ndarray:
@@ -245,25 +242,29 @@ class ProjectorField:
         return v / phase
 
 
-def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
-    """The projector field |chi><chi| of an odd gauge; analytic rate (chi is linear)."""
-    if not variant.is_odd:
-        raise GeometryError("the nontrivial-bundle field needs an odd chi")
-    c = chi_matrix(variant)
+def linear_line_field(c: np.ndarray, name: str) -> ProjectorField:
+    """The even rank-1 field |Cx><Cx| of an n x 3 isometry C; its rate is |Cv><Cx| + |Cx><Cv|."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 3 or np.abs(c.conj().T @ c - np.eye(3)).max() > 1e-12:
+        raise GeometryError("a linear line field needs an n x 3 isometry")
+
+    def ev(xs):
+        v = np.asarray(xs, dtype=float) @ c.T
+        return v[..., :, None] * v.conj()[..., None, :]
 
     def rate(xs, vs):
-        xv = np.einsum("ij,...j->...i", c, xs + 0j)
-        dv = np.einsum("ij,...j->...i", c, vs + 0j)
-        return dv[..., :, None] * xv.conj()[..., None, :] + xv[..., :, None] * dv.conj()[..., None, :]
+        v = np.asarray(xs, dtype=float) @ c.T
+        dv = np.asarray(vs, dtype=float) @ c.T
+        return dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :]
 
-    return ProjectorField(
-        evaluate=lambda xs: projector_values(variant, xs),
-        dim=3,
-        rank=1,
-        even=True,
-        rate=rate,
-        name=f"p-minus[{variant.value}]",
-    )
+    return ProjectorField(ev, rate, name=name)
+
+
+def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
+    """The projector field |chi><chi| of an odd gauge (chi is linear)."""
+    if not variant.is_odd:
+        raise GeometryError("the nontrivial-bundle field needs an odd chi")
+    return linear_line_field(chi_matrix(variant), f"p-minus[{variant.value}]")
 
 
 def constant_projector_field(p: np.ndarray, name: str = "constant-projector") -> ProjectorField:
@@ -282,20 +283,14 @@ def constant_projector_field(p: np.ndarray, name: str = "constant-projector") ->
         xs = np.asarray(xs, dtype=float)
         return np.zeros(xs.shape[:-1] + (n, n), dtype=complex)
 
-    return ProjectorField(ev, n, rank, even=True, rate=rate, name=name)
+    return ProjectorField(ev, rate, rank, name)
 
 
 def _generator_grid(field: ProjectorField, curve: Curve, steps: int) -> np.ndarray:
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
     ps = field.evaluate(xs)
-    if field.rate is not None:
-        pdot = field.rate(xs, curve.velocities(ts))
-    else:
-        pdot = (
-            field.evaluate(curve.position(ts + FD_DT))
-            - field.evaluate(curve.position(ts - FD_DT))
-        ) / (2.0 * FD_DT)
+    pdot = field.rate(xs, curve.velocities(ts))
     return pdot @ ps - ps @ pdot
 
 
@@ -332,16 +327,18 @@ def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) ->
     """Holonomy of a loop downstairs: fiber coordinate ratio after transport.
 
     The curve must close on the sphere or end at the antipode; either way it
-    descends to a loop.  The field must be even and rank 1 so that the fiber
-    lines at x(0) and x(1) agree and the ratio <v0|v1>/<v0|v0> is well defined
+    descends to a loop.  The field must be rank 1 and its fiber lines at x(0)
+    and x(1) must agree, so that the ratio <v0|v1>/<v0|v0> is well defined
     (and independent of the frame choice).
     """
-    if not field.even:
-        raise GeometryError("holonomy requires an even projector field")
     if field.rank != 1:
         raise GeometryError("holonomy is implemented for rank-1 fields")
     if curve.closure not in (Closure.CLOSED_ON_SPHERE, Closure.ANTIPODAL):
         raise GeometryError("curve does not descend to a loop")
+    curve.validate()
+    p_start, p_end = field.evaluate(curve(np.array([0.0, 1.0])))
+    if np.abs(p_end - p_start).max() > ENDPOINT_TOL:
+        raise GeometryError("the fiber lines at the two ends of the loop differ")
     v0 = field.frame(curve.point(0.0))
     v1 = parallel_transport(field, curve, v0, steps)
     return complex(np.vdot(v0, v1) / np.vdot(v0, v0))

@@ -247,6 +247,19 @@ def test_moved_line_holonomy_decomposition():
     assert holonomy(singlet_field(), arc, 64) == 1.0
 
 
+def test_exchange_line_field_matches_rotated_p0(points):
+    # reference: the moved projector built from the full rotation, U P0 U†;
+    # U depends on the angles, which lose digits like 1/sin(theta) at the poles
+    theta, phi = angles_of(points)
+    u = exchange_full_angles(theta, phi)
+    tol = 1e-12 / np.maximum(np.hypot(points[:, 0], points[:, 1]), 1e-4)
+    for m in TRIPLET_MS:
+        v = triplet_vector(m, 0)
+        reference = u @ np.outer(v, v.conj()) @ np.conj(np.swapaxes(u, -1, -2))
+        err = np.abs(exchange_line_field(m).evaluate(points) - reference).max(axis=(-2, -1))
+        assert np.all(err <= tol)
+
+
 def test_transport_crosscheck_reproduces_moved_basis():
     g = great_circle([1, 0, 0], [0, 0, 1])
     field = exchange_line_field(0)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from spinbundles.berry_robbins import TRIPLET_MS, exchange_line_field
 from spinbundles.config_space import SpherePoint
 from spinbundles.errors import FiberMembershipError, GeometryError
 from spinbundles.line_bundle import ChiVariant, chi
 from spinbundles.transport import (
     Closure,
     Curve,
+    ProjectorField,
     antipodal_arc,
     concatenate,
     constant_curve,
@@ -15,6 +17,7 @@ from spinbundles.transport import (
     grassmann_field,
     great_circle,
     holonomy,
+    linear_line_field,
     parallel_transport,
     reparametrize,
     restrict,
@@ -181,12 +184,53 @@ def test_finite_difference_rate_matches_analytic():
     arc = antipodal_arc(E1, E3)
     ts = np.linspace(0.0, 1.0, 17)
     xs, vs = arc.position(ts), arc.velocities(ts)
-    analytic = P_HARM.rate(xs, vs)
     dt = 1e-6
-    fd = (P_HARM.evaluate(arc.position(ts + dt)) - P_HARM.evaluate(arc.position(ts - dt))) / (
-        2 * dt
-    )
-    assert np.abs(analytic - fd).max() < 1e-8
+    for field in [P_HARM] + [exchange_line_field(m) for m in TRIPLET_MS]:
+        analytic = field.rate(xs, vs)
+        fd = (field.evaluate(arc.position(ts + dt)) - field.evaluate(arc.position(ts - dt))) / (
+            2 * dt
+        )
+        assert np.abs(analytic - fd).max() < 1e-8
+
+
+def test_linear_line_field_requires_isometry():
+    with pytest.raises(GeometryError):
+        linear_line_field(2.0 * np.eye(3), "stretched")
+    with pytest.raises(GeometryError):
+        linear_line_field(np.eye(3)[:, :2], "too-narrow")
+
+
+def test_holonomy_rejects_mislabelled_half_arc():
+    half = restrict(antipodal_arc(E1, E3), 0.0, 0.5)
+    mislabelled = Curve(half.position, half.velocity, Closure.ANTIPODAL, "half-arc")
+    with pytest.raises(GeometryError):
+        holonomy(P_LIN, mislabelled, 1024)
+
+
+def test_holonomy_rejects_field_with_different_antipodal_fibers():
+    # the line through x + 2 e3 is a smooth rank-1 field on the sphere, but
+    # its fibers at x and -x differ, so an antipodal arc is no loop for it
+    shift = 2.0 * E3.vec
+
+    def spanning(xs):
+        w = np.asarray(xs, dtype=float) + shift
+        return w / np.linalg.norm(w, axis=-1, keepdims=True), np.linalg.norm(w, axis=-1)
+
+    def ev(xs):
+        u, _ = spanning(xs)
+        return (u[..., :, None] * u[..., None, :]).astype(complex)
+
+    def rate(xs, vs):
+        u, n = spanning(xs)
+        du = (vs - np.sum(u * vs, axis=-1, keepdims=True) * u) / n[..., None]
+        outer = du[..., :, None] * u[..., None, :]
+        return (outer + np.swapaxes(outer, -1, -2)).astype(complex)
+
+    lopsided = ProjectorField(ev, rate, name="shifted-line")
+    with pytest.raises(GeometryError):
+        holonomy(lopsided, antipodal_arc(E1, E2), 256)
+    # a loop closed on the sphere ends on its own fiber and stays allowed
+    assert abs(holonomy(lopsided, great_circle(E1, E2), 1024) - 1.0) < 1e-6
 
 
 def test_concatenate_and_restrict():
