@@ -147,7 +147,7 @@ def exchange_full_angles(theta, phi, block_fn: BlockFn | None = None) -> np.ndar
     u = np.zeros(shape + (DIMENSION, DIMENSION), dtype=complex)
     for m in TRIPLET_MS:
         b = block_matrix(m).real
-        u += np.einsum("ia,...ab,jb->...ij", b, block, b)
+        u += b @ block @ b.T
     s = singlet_vector()
     u += np.outer(s, s.conj()).real
     return u
@@ -183,11 +183,32 @@ def transported_basis(j: int, m: int, r: SpherePoint) -> np.ndarray:
     return block_matrix(m) @ transported_component_vector(theta, phi)
 
 
-def moved_product_frames(theta, phi, block_fn: BlockFn | None = None) -> np.ndarray:
-    """Columns |M(r)> = U(r)|M> for the four product labels, (..., 10, 4)."""
-    u = exchange_full_angles(theta, phi, block_fn)
+def _product_frame_maps() -> tuple[np.ndarray, np.ndarray]:
+    """(L, S) with U(r)|M> = L u0(r) + S for the product labels, u0 the k=0 block column.
+
+    The product labels lie in span{|1 m>, |00>}, where U(r)|1 m> = B_m u0(r)
+    and U(r)|00> = |00>; the Clebsch-Gordan coefficients <1 m|M>, <00|M> are real.
+    """
     pm = np.column_stack([product_vector(lbl) for lbl in PRODUCT_LABELS])
-    return u @ pm
+    s = singlet_vector()
+    lift = sum(
+        block_matrix(m).real[:, :, None] * (total_spin_vector(1, m).conj() @ pm).real
+        for m in TRIPLET_MS
+    )
+    return lift, np.outer(s, s.conj() @ pm).real
+
+
+_FRAME_LIFT, _FRAME_SINGLET = _product_frame_maps()
+
+
+def moved_product_frames(theta, phi, block_fn: BlockFn | None = None) -> np.ndarray:
+    """Columns |M(r)> = U(r)|M> for the four product labels, (..., 10, 4).
+
+    Built from the k=0 column of the exchange block alone; the 10x10 U(r) is
+    never formed.
+    """
+    u0 = (block_fn or exchange_block)(theta, phi)[..., :, 1]
+    return np.tensordot(u0, _FRAME_LIFT, axes=(-1, 1)) + _FRAME_SINGLET
 
 
 def exchange_rule_residual(

@@ -124,8 +124,13 @@ def polynomial_field(terms, name: str | None = None) -> ScalarField:
 
     Parity is declared when every monomial has the same total-degree parity
     (on the unit sphere the antipode flips a monomial by (-1)^degree).
+    Evaluation builds one table of coordinate powers by repeated
+    multiplication and accumulates real and imaginary parts per term; since
+    negation is exact, a pure-parity polynomial obeys p(-x) = +-p(x) bit for
+    bit.
     """
     terms = [(complex(c), (int(e[0]), int(e[1]), int(e[2]))) for c, e in terms]
+    top = [max((e[a] for _, e in terms), default=0) for a in range(3)]
     degrees = {sum(e) % 2 for c, e in terms if c != 0}
     parity = None
     if len(degrees) == 0:
@@ -137,10 +142,22 @@ def polynomial_field(terms, name: str | None = None) -> ScalarField:
 
     def ev(xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape[:-1], dtype=complex)
-        for c, (i, j, k) in terms:
-            out += c * xs[..., 0] ** i * xs[..., 1] ** j * xs[..., 2] ** k
-        return out
+        powers = []  # powers[a][d] = x_a^d for 1 <= d <= top[a]
+        for a in range(3):
+            row = [None, xs[..., a]]
+            while len(row) <= top[a]:
+                row.append(row[-1] * xs[..., a])
+            powers.append(row)
+        re = np.zeros(xs.shape[:-1])
+        im = np.zeros(xs.shape[:-1])
+        for c, exps in terms:
+            factors = [powers[a][d] for a, d in enumerate(exps) if d]
+            mono = functools.reduce(np.multiply, factors) if factors else 1.0
+            if c.real:
+                re += c.real * mono
+            if c.imag:
+                im += c.imag * mono
+        return re + 1j * im
 
     return ScalarField(ev, parity, name or _polynomial_name(terms))
 

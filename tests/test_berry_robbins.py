@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbundles.config_space import SpherePoint, angles_of, antipode_angles
 from spinbundles.errors import GeometryError
@@ -146,11 +148,37 @@ def test_transported_basis_antipodal_signs(points):
             assert res < 1e-12
 
 
+def _frames_reference(theta, phi, block_fn):
+    # the definition |M(r)> = U(r)|M>, with the full 10x10 rotation
+    pm = np.column_stack([product_vector(lbl) for lbl in PRODUCT_LABELS])
+    return exchange_full_angles(theta, phi, block_fn) @ pm
+
+
 def test_transported_orthonormal(points):
     theta, phi = angles_of(points[:256])
     frames = moved_product_frames(theta, phi)
     gram = np.einsum("...ia,...ib->...ab", frames.conj(), frames)
     assert np.abs(gram - np.eye(4)).max() < 1e-12
+    for block_fn in (None, perturbed_block()):
+        reference = _frames_reference(theta, phi, block_fn)
+        assert np.abs(moved_product_frames(theta, phi, block_fn) - reference).max() < 1e-15
+
+
+_POLAR = st.one_of(
+    st.sampled_from([0.0, np.pi]),
+    st.floats(0.0, 1e-9),
+    st.floats(np.pi - 1e-9, np.pi),
+    st.floats(0.0, np.pi),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=_POLAR, phi=st.floats(0.0, 2 * np.pi), perturbed=st.booleans())
+def test_moved_frames_match_full_rotation(theta, phi, perturbed):
+    block_fn = perturbed_block() if perturbed else None
+    frames = moved_product_frames(theta, phi, block_fn)
+    assert frames.shape == (DIMENSION, 4)
+    assert np.abs(frames - _frames_reference(theta, phi, block_fn)).max() < 1e-15
 
 
 def test_exchange_rule_residual(points):

@@ -61,6 +61,48 @@ def test_polynomial_parity_declaration():
     assert polynomial_field([(1.0, (1, 0, 0)), (1.0, (1, 1, 0))]).parity is None
 
 
+def _per_term_reference(terms, xs):
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape[:-1], dtype=complex)
+    for c, (i, j, k) in terms:
+        out += c * xs[..., 0] ** i * xs[..., 1] ** j * xs[..., 2] ** k
+    return out
+
+
+def test_polynomial_field_matches_per_term_sum(rng, points):
+    # complex coefficients, a repeated exponent, degree 8 (the CLI's ceiling)
+    terms = [
+        (1.5 - 2j, (2, 0, 1)),
+        (0.25j, (0, 0, 0)),
+        (-3.0, (8, 0, 0)),
+        (1.0, (2, 0, 1)),
+        (2 + 1j, (1, 3, 4)),
+        (0.5, (0, 0, 5)),
+    ]
+    p = polynomial_field(terms)
+    for xs in (points, points[:10].reshape(2, 5, 3), points[0]):
+        assert np.abs(p(xs) - _per_term_reference(terms, xs)).max() < 1e-13
+        assert p(xs).shape == xs.shape[:-1]
+    north = SpherePoint(0.0, 0.0, 1.0)
+    assert abs(p(north) - (0.25j + 0.5)) < 1e-15
+    empty = polynomial_field([])
+    assert empty.parity == "even"
+    assert np.array_equal(empty(points), np.zeros(len(points), dtype=complex))
+    for _ in range(10):
+        coeffs = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        terms = list(zip(coeffs, rng.integers(0, 3, size=(6, 3))))
+        q = polynomial_field(terms)
+        assert np.abs(q(points) - _per_term_reference(terms, points)).max() < 1e-13
+
+
+def test_polynomial_field_parity_is_exact(rng, points):
+    for _ in range(10):
+        odd = random_polynomial(rng, 5, "odd")
+        even = random_polynomial(rng, 5, "even")
+        assert np.array_equal(odd(-points), -odd(points))
+        assert np.array_equal(even(-points), even(points))
+
+
 def test_section_from_odd_formula(points):
     f = section_from_odd(X1)
     coeffs = f.coefficient_values(points)
