@@ -100,6 +100,6 @@ from .experiments import (
     five_step_from_coefficient,
     run_suite,
 )
-from .kernels import backend_name, numba_available, numba_enabled
+from .kernels import backend_name, numba_available
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbundles.berry_robbins import TRIPLET_MS, exchange_line_field
 from spinbundles.config_space import SpherePoint
@@ -260,3 +262,59 @@ def test_reparametrize_keeps_image():
     analytic = warped.velocities(ts)
     fd = (warped.position(ts + 1e-6) - warped.position(ts - 1e-6)) / 2e-6
     assert np.abs(analytic - fd).max() < 1e-6
+
+
+_LOOP_FIELDS = {
+    "odd-linear": P_LIN,
+    "odd-harmonic": P_HARM,
+    **{f"moved-line-{m}": exchange_line_field(m) for m in TRIPLET_MS},
+}
+
+_POLAR = st.one_of(
+    st.sampled_from([0.0, np.pi]),
+    st.floats(0.0, 1e-9),
+    st.floats(np.pi - 1e-9, np.pi),
+    st.floats(0.0, np.pi),
+)
+
+
+def _frame_at(x, spin):
+    """Right-handed orthonormal frame (x, a, b), with (a, b) turned by spin about x."""
+    seed = E1.vec if abs(x[0]) < 0.9 else E2.vec
+    a = np.cross(x, seed)
+    a /= np.linalg.norm(a)
+    b = np.cross(x, a)
+    return np.stack([x, np.cos(spin) * a + np.sin(spin) * b, np.cos(spin) * b - np.sin(spin) * a], axis=1)
+
+
+def _rotated(curve, rot):
+    return Curve(
+        lambda t: curve.position(t) @ rot.T,
+        lambda t: curve.velocity(t) @ rot.T,
+        curve.closure,
+        f"rotated[{curve.name}]",
+    )
+
+
+@pytest.mark.parametrize("field_name", sorted(_LOOP_FIELDS))
+@settings(max_examples=20, deadline=None)
+@given(
+    theta=_POLAR,
+    phi=st.floats(0.0, 2 * np.pi),
+    spin=st.floats(0.0, 2 * np.pi),
+    radius=st.floats(0.05, np.pi / 2 - 0.05),
+)
+def test_holonomy_of_rotated_loops(field_name, theta, phi, spin, radius):
+    # Each loop is rotated so that it starts at the drawn point, with a
+    # random turn about it: antipodal arcs give -1, closed loops +1.
+    field = _LOOP_FIELDS[field_name]
+    start = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)])
+    for curve, expected in (
+        (antipodal_arc(E1, E3), -1.0),
+        (great_circle(E1, E2), 1.0),
+        (small_circle(E3, radius), 1.0),
+    ):
+        rot = _frame_at(start, spin) @ _frame_at(curve(0.0), 0.0).T
+        loop = _rotated(curve, rot)
+        assert np.linalg.norm(loop(0.0) - start) < 1e-12
+        assert abs(holonomy(field, loop, 1024) - expected) < 1e-6
