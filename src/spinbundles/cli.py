@@ -289,6 +289,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _config_from_args(args).validate()
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "holonomy":

@@ -253,17 +253,20 @@ def five_step_experiment(
     from step 5 (suppressed for near-zero sections).
     """
     xs = sa._default_points() if points is None else np.asarray(points, dtype=float)
-
-    grid = sa.validation_grid()
     step1 = {
         "coefficients": [f.name for f in source.fields],
-        "projector_residual": source.projector_residual(grid),
+        "projector_residual": source.projector_residual(sa.validation_grid()),
     }
+    return _five_step_tail(step1, pullback_T(source), chi_variant, xs, tol)
 
-    sigma = pullback_T(source)
-    action3 = lb.tau_tilde(source.variant)
+
+def _five_step_tail(
+    step1: dict, sigma: PullbackSection, chi_variant: ChiVariant, xs: np.ndarray, tol: float
+) -> FiveStepReport:
+    """Steps 2-5 and the verdict for a pull-back section in its own gauge."""
+    action3 = lb.tau_tilde(sigma.variant)
     step2 = {
-        "gauge": source.variant.value,
+        "gauge": sigma.variant.value,
         "action": action3.label.value,
         "coefficient": sigma.coefficient.name,
     }
@@ -273,12 +276,11 @@ def five_step_experiment(
     lams = xs[:, 0] + 2j * xs[:, 1] - 0.7 * xs[:, 2] + 0.3
     step4 = {
         "target_gauge": chi_variant.value,
-        "intertwine_residual": gauge_intertwine_residual(source.variant, chi_variant, xs, lams),
+        "intertwine_residual": gauge_intertwine_residual(sigma.variant, chi_variant, xs, lams),
     }
 
     sigma5 = PullbackSection(sigma.coefficient, chi_variant)
-    action5 = lb.tau_prime(chi_variant)
-    step5 = _residual_record(sigma5, action5, xs)
+    step5 = _residual_record(sigma5, lb.tau_prime(chi_variant), xs)
 
     vacuous = sigma5.sup_norm(xs) < NEAR_ZERO_SECTION
     if vacuous:
@@ -316,32 +318,12 @@ def five_step_from_coefficient(
         )
         return five_step_experiment(source, chi_variant, xs, tol)
 
-    sigma = PullbackSection(a, source_variant)
     step1 = {
         "coefficients": [a.name],
         "projector_residual": float("nan"),
         "note": "coefficient has an even part; not the image of any section",
     }
-    action3 = lb.tau_tilde(source_variant)
-    step3 = _residual_record(sigma, action3, xs)
-    lams = xs[:, 0] + 2j * xs[:, 1] - 0.7 * xs[:, 2] + 0.3
-    step4 = {
-        "target_gauge": chi_variant.value,
-        "intertwine_residual": gauge_intertwine_residual(source_variant, chi_variant, xs, lams),
-    }
-    sigma5 = PullbackSection(a, chi_variant)
-    step5 = _residual_record(sigma5, lb.tau_prime(chi_variant), xs)
-    vacuous = sigma5.sup_norm(xs) < NEAR_ZERO_SECTION
-    if vacuous:
-        inv = sv = anti = None
-    else:
-        inv = step5["invariance_residual"] <= tol
-        sv = step5["same_value_residual"] <= tol
-        anti = step5["opposite_value_residual"] <= tol
-    step2 = {"gauge": source_variant.value, "action": action3.label.value, "coefficient": a.name}
-    return FiveStepReport(
-        chi_variant.value, step1, step2, step3, step4, step5, inv, sv, anti, vacuous, tol
-    )
+    return _five_step_tail(step1, PullbackSection(a, source_variant), chi_variant, xs, tol)
 
 
 # ---------------------------------------------------------------------------

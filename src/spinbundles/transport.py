@@ -1,9 +1,12 @@
 """Parallel transport for projector-valued connections and loop holonomy.
 
-A rank-1 projector field P on the sphere defines a connection on the line
-sub-bundle it spans (covariant derivative = P d).  Transport along a curve
-solves dv/dt = [Pdot, P] v; the commutator form keeps v in the moving fiber
-and, because the generator is anti-Hermitian, preserves the norm.  For even
+A line field P = |u><u| on the sphere defines a connection on the line
+sub-bundle it spans (covariant derivative = P d).  Each field carries its
+fiber frame u(x) and the frame's rate du/dt along a curve.  Transport along
+a curve solves dv/dt = [Pdot, P] v, and the generator is built from the
+frame as |w><u| - |u><w|, with w = du - <u|du> u the horizontal part of du;
+the commutator form keeps v in the moving fiber and, because the generator
+is anti-Hermitian, preserves the norm.  For even
 fields the fiber lines over x and -x coincide, so curves that close on the
 sphere and curves that end at the antipode both descend to loops downstairs,
 and the holonomy is the ratio of the fiber coordinates before and after.
@@ -215,49 +218,37 @@ def reparametrize(c: Curve, warp, warp_rate=None, name: str | None = None) -> Cu
 
 @dataclass(frozen=True)
 class ProjectorField:
-    """A projector-valued field on the sphere.
+    """A line field |u(x)><u(x)| on the sphere, given by its fiber frame.
 
-    evaluate maps (..., 3) unit vectors to (..., n, n) Hermitian idempotents;
-    rate maps positions and velocities to the time derivative of the field
-    along a curve.
+    vector maps (..., 3) unit vectors to unit spanning vectors u of shape
+    (..., n); vector_rate maps positions and velocities along a curve to
+    du/dt.
     """
 
-    evaluate: Callable[[np.ndarray], np.ndarray]
-    rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    rank: int = 1
+    vector: Callable[[np.ndarray], np.ndarray]
+    vector_rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
     name: str = "projector-field"
 
-    def at(self, x: SpherePoint) -> np.ndarray:
-        return self.evaluate(x.vec)
+    def evaluate(self, xs) -> np.ndarray:
+        """The projectors |u><u|, shape (..., n, n)."""
+        u = self.vector(xs)
+        return u[..., :, None] * u.conj()[..., None, :]
 
     def frame(self, x: SpherePoint) -> np.ndarray:
-        """Deterministic unit spanning vector of the fiber line at x (rank 1)."""
-        if self.rank != 1:
-            raise GeometryError("fiber frames are defined for rank-1 fields")
-        p = self.at(x)
-        w, vecs = np.linalg.eigh(p)
-        v = vecs[:, int(np.argmax(w))]
-        k = int(np.argmax(np.abs(v)))
-        phase = v[k] / abs(v[k])
-        return v / phase
+        """Unit spanning vector of the fiber line at x."""
+        return self.vector(x.vec)
 
 
 def linear_line_field(c: np.ndarray, name: str) -> ProjectorField:
-    """The even rank-1 field |Cx><Cx| of an n x 3 isometry C; its rate is |Cv><Cx| + |Cx><Cv|."""
+    """The even line field |Cx><Cx| of an n x 3 isometry C; its frame x -> Cx is linear."""
     c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 3 or np.abs(c.conj().T @ c - np.eye(3)).max() > 1e-12:
+    if c.ndim != 2 or c.shape[1] != 3 or not np.abs(c.conj().T @ c - np.eye(3)).max() <= 1e-12:
         raise GeometryError("a linear line field needs an n x 3 isometry")
 
-    def ev(xs):
-        v = np.asarray(xs, dtype=float) @ c.T
-        return v[..., :, None] * v.conj()[..., None, :]
+    def vector(xs):
+        return np.asarray(xs, dtype=float) @ c.T
 
-    def rate(xs, vs):
-        v = np.asarray(xs, dtype=float) @ c.T
-        dv = np.asarray(vs, dtype=float) @ c.T
-        return dv[..., :, None] * v.conj()[..., None, :] + v[..., :, None] * dv.conj()[..., None, :]
-
-    return ProjectorField(ev, rate, name=name)
+    return ProjectorField(vector, lambda xs, vs: vector(vs), name)
 
 
 def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
@@ -268,30 +259,33 @@ def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorFie
 
 
 def constant_projector_field(p: np.ndarray, name: str = "constant-projector") -> ProjectorField:
-    """A constant projector field: the trivial line bundle when rank is 1."""
+    """The constant line field of a rank-1 projector p: the trivial line bundle."""
     p = np.asarray(p, dtype=complex)
-    n = p.shape[0]
-    rank = int(round(np.trace(p).real))
+    k = int(np.argmax(p.diagonal().real))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = p[:, k] / np.sqrt(p[k, k])
+    # Written so that a NaN frame (p = 0 gives 0/0) fails too.
+    if not np.abs(np.outer(u, u.conj()) - p).max() <= 1e-12:
+        raise GeometryError("a constant line field needs a rank-1 orthogonal projector")
 
-    def ev(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.empty(xs.shape[:-1] + (n, n), dtype=complex)
-        out[...] = p
-        return out
+    def vector(xs):
+        return np.broadcast_to(u, np.shape(xs)[:-1] + u.shape)
 
-    def rate(xs, vs):
-        xs = np.asarray(xs, dtype=float)
-        return np.zeros(xs.shape[:-1] + (n, n), dtype=complex)
+    def vector_rate(xs, vs):
+        return np.zeros(np.shape(xs)[:-1] + u.shape, dtype=complex)
 
-    return ProjectorField(ev, rate, rank, name)
+    return ProjectorField(vector, vector_rate, name)
 
 
 def _generator_grid(field: ProjectorField, curve: Curve, steps: int) -> np.ndarray:
+    # [Pdot, P] = |w><u| - |u><w| with w the horizontal part of du: the
+    # component <u|du> u only turns the frame's phase, not the line.
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
-    ps = field.evaluate(xs)
-    pdot = field.rate(xs, curve.velocities(ts))
-    return pdot @ ps - ps @ pdot
+    u = field.vector(xs)
+    du = field.vector_rate(xs, curve.velocities(ts))
+    w = du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
+    return w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
 
 
 def parallel_transport(
@@ -327,12 +321,10 @@ def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) ->
     """Holonomy of a loop downstairs: fiber coordinate ratio after transport.
 
     The curve must close on the sphere or end at the antipode; either way it
-    descends to a loop.  The field must be rank 1 and its fiber lines at x(0)
-    and x(1) must agree, so that the ratio <v0|v1>/<v0|v0> is well defined
-    (and independent of the frame choice).
+    descends to a loop.  The fiber lines at x(0) and x(1) must agree, so that
+    the ratio <v0|v1>/<v0|v0> is well defined (and independent of the frame
+    choice).
     """
-    if field.rank != 1:
-        raise GeometryError("holonomy is implemented for rank-1 fields")
     if curve.closure not in (Closure.CLOSED_ON_SPHERE, Closure.ANTIPODAL):
         raise GeometryError("curve does not descend to a loop")
     curve.validate()

@@ -158,16 +158,27 @@ def test_experiment_json(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    for argv in (
-        ["bogus"],
-        ["verify", "--fault-inject", "nonsense"],
-        ["experiment", "--chi", "odd-linear", "--field", "x1^9"],
-        ["holonomy", "--bundle", "wat", "--loop", "antipodal"],
-        ["holonomy", "--bundle", "xi-minus", "--loop", "wat"],
-        ["exchange", "--at", "zero"],
-        ["verify", "--samples", "2"],
+    # each usage error with a fragment of its message; the shared options
+    # are checked for every subcommand with the same messages as for verify
+    for argv, message in (
+        (["bogus"], "invalid choice"),
+        (["verify", "--fault-inject", "nonsense"], "no fault is wired"),
+        (["experiment", "--chi", "odd-linear", "--field", "x1^9"], "exceeds"),
+        (["holonomy", "--bundle", "wat", "--loop", "antipodal"], "unknown bundle"),
+        (["holonomy", "--bundle", "xi-minus", "--loop", "wat"], "unknown loop"),
+        (["exchange", "--at", "zero"], "--at expects"),
+        (["verify", "--samples", "2"], "samples must be at least 64"),
+        (
+            ["experiment", "--field", "x3", "--tol-functional", "-1"],
+            "tol_functional must be positive",
+        ),
+        (["experiment", "--field", "x3", "--samples", "0"], "samples must be at least 64"),
+        (
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--tol-holonomy", "0"],
+            "tol_holonomy must be positive",
+        ),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
-        capsys.readouterr()
+        assert message in capsys.readouterr().err
