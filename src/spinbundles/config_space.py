@@ -174,24 +174,12 @@ def partition_phi(alpha: int, q: ProjectivePoint) -> float:
 
 
 class ChartAtlas:
-    """The three-chart affine atlas of RP2 with its partition of unity."""
+    """The three-chart affine atlas of RP2."""
 
     indices = CHART_INDICES
 
-    def contains(self, alpha: int, q: ProjectivePoint) -> bool:
-        return chart_contains(alpha, q)
-
-    def map(self, alpha: int, q: ProjectivePoint) -> tuple[float, float]:
-        return chart_map(alpha, q)
-
-    def inverse(self, alpha: int, uv) -> ProjectivePoint:
-        return chart_inverse(alpha, uv)
-
-    def phi(self, alpha: int, q: ProjectivePoint) -> float:
-        return partition_phi(alpha, q)
-
     def charts_containing(self, q: ProjectivePoint) -> tuple[int, ...]:
-        return tuple(a for a in self.indices if self.contains(a, q))
+        return tuple(a for a in self.indices if chart_contains(a, q))
 
 
 ATLAS = ChartAtlas()

@@ -320,7 +320,7 @@ def five_step_from_coefficient(
 
     step1 = {
         "coefficients": [a.name],
-        "projector_residual": float("nan"),
+        "projector_residual": None,  # JSON null: there is no section to measure
         "note": "coefficient has an even part; not the image of any section",
     }
     return _five_step_tail(step1, PullbackSection(a, source_variant), chi_variant, xs, tol)

@@ -188,9 +188,6 @@ class GroupAction:
             if self.label is ActionLabel.TAU_TILDE and not self.chi_variant.is_odd:
                 raise BindingError("tau-tilde acts on the pull-back presented by an odd chi")
 
-    def act(self, g: GroupElement, x: SpherePoint, v: np.ndarray) -> tuple[SpherePoint, np.ndarray]:
-        return group_act(self, g, x, v)
-
 
 def tau_plus() -> GroupAction:
     return GroupAction(ActionLabel.TAU_PLUS)

@@ -226,7 +226,9 @@ def validation_grid(n: int = 512) -> np.ndarray:
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     phi = golden * i
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    xs = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    xs.setflags(write=False)  # shared by every caller through the cache
+    return xs
 
 
 def _require_parity(a: ScalarField, parity: str, what: str) -> None:
@@ -392,7 +394,9 @@ def g_action_on_section(
 def _default_points(n: int = DEFAULT_SAMPLE_COUNT, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
     from .config_space import sample_sphere
 
-    return sample_sphere(n, seed)
+    xs = sample_sphere(n, seed)
+    xs.setflags(write=False)  # shared by every caller through the cache
+    return xs
 
 
 def invariance_residual(

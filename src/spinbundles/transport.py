@@ -1,15 +1,16 @@
 """Parallel transport for projector-valued connections and loop holonomy.
 
 A line field P = |u><u| on the sphere defines a connection on the line
-sub-bundle it spans (covariant derivative = P d).  Each field carries its
-fiber frame u(x) and the frame's rate du/dt along a curve.  Transport along
-a curve solves dv/dt = [Pdot, P] v, and the generator is built from the
-frame as |w><u| - |u><w|, with w = du - <u|du> u the horizontal part of du;
-the commutator form keeps v in the moving fiber and, because the generator
-is anti-Hermitian, preserves the norm.  For even
-fields the fiber lines over x and -x coincide, so curves that close on the
-sphere and curves that end at the antipode both descend to loops downstairs,
-and the holonomy is the ratio of the fiber coordinates before and after.
+sub-bundle it spans (covariant derivative = P d).  Each curve carries its
+position and its analytic velocity, and each field carries its fiber frame
+u(x) and the frame's rate du/dt along a curve.  Transport along a curve
+solves dv/dt = [Pdot, P] v, and the generator is built from the frame as
+|w><u| - |u><w|, with w = du - <u|du> u the horizontal part of du; the
+commutator form keeps v in the moving fiber and, because the generator is
+anti-Hermitian, preserves the norm.  For even fields the fiber lines over x
+and -x coincide, so curves that close on the sphere and curves that end at
+the antipode both descend to loops downstairs, and the holonomy is the ratio
+of the fiber coordinates before and after.
 """
 
 from __future__ import annotations
@@ -28,9 +29,6 @@ from .line_bundle import ChiVariant, chi_matrix
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
 
-# Central-difference step for curves without an analytic velocity.
-FD_DT = 1e-6
-
 ENDPOINT_TOL = 1e-10
 
 
@@ -44,10 +42,10 @@ class Closure(enum.Enum):
 
 @dataclass(frozen=True)
 class Curve:
-    """A smooth path t in [0, 1] -> S2 with a vectorized evaluator."""
+    """A smooth path t in [0, 1] -> S2: vectorized position and its analytic velocity."""
 
     position: Callable[[np.ndarray], np.ndarray]
-    velocity: Callable[[np.ndarray], np.ndarray] | None = None
+    velocity: Callable[[np.ndarray], np.ndarray]
     closure: Closure = Closure.OPEN
     name: str = "curve"
 
@@ -58,12 +56,6 @@ class Curve:
 
     def point(self, t: float) -> SpherePoint:
         return SpherePoint.from_vec(self(float(t)))
-
-    def velocities(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if self.velocity is not None:
-            return self.velocity(t)
-        return (self.position(t + FD_DT) - self.position(t - FD_DT)) / (2.0 * FD_DT)
 
     def validate(self) -> None:
         ts = np.linspace(0.0, 1.0, 33)
@@ -89,34 +81,30 @@ def _frame(u, w) -> tuple[np.ndarray, np.ndarray]:
     return u, w / n
 
 
+def _circle(c, cr: float, sr: float, a, b, span: float, closure: Closure, name: str) -> Curve:
+    """x(t) = cr c + sr (cos(span t) a + sin(span t) b), with its analytic velocity."""
+
+    def pos(t):
+        ang = span * np.asarray(t, dtype=float)
+        return cr * c + sr * (np.cos(ang)[..., None] * a + np.sin(ang)[..., None] * b)
+
+    def vel(t):
+        ang = span * np.asarray(t, dtype=float)
+        return span * sr * (-np.sin(ang)[..., None] * a + np.cos(ang)[..., None] * b)
+
+    return Curve(pos, vel, closure, name)
+
+
 def great_circle(u, w, name: str = "great-circle") -> Curve:
     """Full great circle through u and (the component of) w, closed on the sphere."""
     u, w = _frame(u, w)
-
-    def pos(t):
-        ang = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return np.cos(ang)[..., None] * u + np.sin(ang)[..., None] * w
-
-    def vel(t):
-        ang = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return 2.0 * np.pi * (-np.sin(ang)[..., None] * u + np.cos(ang)[..., None] * w)
-
-    return Curve(pos, vel, Closure.CLOSED_ON_SPHERE, name)
+    return _circle(np.zeros(3), 0.0, 1.0, u, w, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, name)
 
 
 def antipodal_arc(u, w, name: str = "antipodal-arc") -> Curve:
     """Half great circle from u to -u passing through w at the midpoint."""
     u, w = _frame(u, w)
-
-    def pos(t):
-        ang = np.pi * np.asarray(t, dtype=float)
-        return np.cos(ang)[..., None] * u + np.sin(ang)[..., None] * w
-
-    def vel(t):
-        ang = np.pi * np.asarray(t, dtype=float)
-        return np.pi * (-np.sin(ang)[..., None] * u + np.cos(ang)[..., None] * w)
-
-    return Curve(pos, vel, Closure.ANTIPODAL, name)
+    return _circle(np.zeros(3), 0.0, 1.0, u, w, np.pi, Closure.ANTIPODAL, name)
 
 
 def small_circle(center, angular_radius: float, name: str | None = None) -> Curve:
@@ -130,16 +118,8 @@ def small_circle(center, angular_radius: float, name: str | None = None) -> Curv
     a /= np.linalg.norm(a)
     b = np.cross(c, a)
     cr, sr = np.cos(angular_radius), np.sin(angular_radius)
-
-    def pos(t):
-        ang = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return cr * c + sr * (np.cos(ang)[..., None] * a + np.sin(ang)[..., None] * b)
-
-    def vel(t):
-        ang = 2.0 * np.pi * np.asarray(t, dtype=float)
-        return 2.0 * np.pi * sr * (-np.sin(ang)[..., None] * a + np.cos(ang)[..., None] * b)
-
-    return Curve(pos, vel, Closure.CLOSED_ON_SPHERE, name or f"small-circle({angular_radius:g})")
+    name = name or f"small-circle({angular_radius:g})"
+    return _circle(c, cr, sr, a, b, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, name)
 
 
 def constant_curve(p: SpherePoint) -> Curve:
@@ -158,60 +138,28 @@ def constant_curve(p: SpherePoint) -> Curve:
 
 def reverse(c: Curve) -> Curve:
     pos = lambda t: c.position(1.0 - np.asarray(t, dtype=float))
-    vel = (lambda t: -c.velocity(1.0 - np.asarray(t, dtype=float))) if c.velocity else None
+    vel = lambda t: -c.velocity(1.0 - np.asarray(t, dtype=float))
     return Curve(pos, vel, c.closure, f"reversed[{c.name}]")
-
-
-def concatenate(c1: Curve, c2: Curve, name: str | None = None) -> Curve:
-    """Run c1 on [0, 1/2] and c2 on [1/2, 1]; endpoints must match."""
-    if np.linalg.norm(c1(1.0) - c2(0.0)) > ENDPOINT_TOL:
-        raise GeometryError("curves do not join: end of first != start of second")
-    x0, x1 = c1(0.0), c2(1.0)
-    if np.linalg.norm(x1 - x0) <= ENDPOINT_TOL:
-        closure = Closure.CLOSED_ON_SPHERE
-    elif np.linalg.norm(x1 + x0) <= ENDPOINT_TOL:
-        closure = Closure.ANTIPODAL
-    else:
-        closure = Closure.OPEN
-
-    def pos(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        first = t < 0.5
-        out = np.empty(t.shape + (3,))
-        out[first] = c1.position(2.0 * t[first])
-        out[~first] = c2.position(2.0 * t[~first] - 1.0)
-        return out
-
-    vel = None
-    if c1.velocity is not None and c2.velocity is not None:
-        # Piecewise analytic velocity; at the seam the second piece wins.
-        def vel(t):
-            t = np.atleast_1d(np.asarray(t, dtype=float))
-            first = t < 0.5
-            out = np.empty(t.shape + (3,))
-            out[first] = 2.0 * c1.velocity(2.0 * t[first])
-            out[~first] = 2.0 * c2.velocity(2.0 * t[~first] - 1.0)
-            return out
-
-    return Curve(pos, vel, closure, name or f"{c1.name}+{c2.name}")
 
 
 def restrict(c: Curve, t0: float, t1: float) -> Curve:
     """The sub-curve on [t0, t1], reparametrized to [0, 1]."""
     span = t1 - t0
     pos = lambda t: c.position(t0 + span * np.asarray(t, dtype=float))
-    vel = (lambda t: span * c.velocity(t0 + span * np.asarray(t, dtype=float))) if c.velocity else None
+    vel = lambda t: span * c.velocity(t0 + span * np.asarray(t, dtype=float))
     return Curve(pos, vel, Closure.OPEN, f"{c.name}[{t0:g},{t1:g}]")
 
 
-def reparametrize(c: Curve, warp, warp_rate=None, name: str | None = None) -> Curve:
-    """Precompose the curve with a time warp [0,1] -> [0,1] (same image, new speed)."""
+def reparametrize(c: Curve, warp, warp_rate, name: str | None = None) -> Curve:
+    """Precompose the curve with a time warp [0,1] -> [0,1] (same image, new speed).
+
+    warp_rate is the warp's derivative; the velocity follows by the chain rule.
+    """
     pos = lambda t: c.position(warp(np.asarray(t, dtype=float)))
-    vel = None
-    if c.velocity is not None and warp_rate is not None:
-        def vel(t):
-            t = np.asarray(t, dtype=float)
-            return warp_rate(t)[..., None] * c.velocity(warp(t))
+
+    def vel(t):
+        t = np.asarray(t, dtype=float)
+        return warp_rate(t)[..., None] * c.velocity(warp(t))
 
     return Curve(pos, vel, c.closure, name or f"warped[{c.name}]")
 
@@ -221,8 +169,7 @@ class ProjectorField:
     """A line field |u(x)><u(x)| on the sphere, given by its fiber frame.
 
     vector maps (..., 3) unit vectors to unit spanning vectors u of shape
-    (..., n); vector_rate maps positions and velocities along a curve to
-    du/dt.
+    (..., n); vector_rate maps a curve's positions and velocity to du/dt.
     """
 
     vector: Callable[[np.ndarray], np.ndarray]
@@ -283,7 +230,7 @@ def _generator_grid(field: ProjectorField, curve: Curve, steps: int) -> np.ndarr
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
     u = field.vector(xs)
-    du = field.vector_rate(xs, curve.velocities(ts))
+    du = field.vector_rate(xs, curve.velocity(ts))
     w = du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
     return w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
 

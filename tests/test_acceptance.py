@@ -147,7 +147,11 @@ def test_criterion_05_exchange_machinery():
 
 def test_criterion_06_parallel_condition():
     great = great_circle(E1, E3)
-    warped = reparametrize(great, lambda t: t + 0.1 * np.sin(2 * np.pi * t))
+    warped = reparametrize(
+        great,
+        lambda t: t + 0.1 * np.sin(2 * np.pi * t),
+        lambda t: 1.0 + 0.2 * np.pi * np.cos(2 * np.pi * t),
+    )
     residual = max(
         br.br_parallel_residual(great, 1e-5), br.br_parallel_residual(warped, 1e-5)
     )

@@ -224,7 +224,11 @@ def test_br_parallel_residual_second_order_decay():
     from spinbundles.transport import reparametrize
 
     g = great_circle([1, 0, 0], [0, 0, 1])
-    warped = reparametrize(g, lambda t: t + 0.1 * np.sin(2 * np.pi * t))
+    warped = reparametrize(
+        g,
+        lambda t: t + 0.1 * np.sin(2 * np.pi * t),
+        lambda t: 1.0 + 0.2 * np.pi * np.cos(2 * np.pi * t),
+    )
     r_coarse = br_parallel_residual(warped, 1e-4)
     r_fine = br_parallel_residual(warped, 5e-5)
     assert 3.0 < r_coarse / r_fine < 5.0

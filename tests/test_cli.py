@@ -157,6 +157,20 @@ def test_experiment_json(capsys):
     }
 
 
+def test_experiment_json_is_strict_for_even_coefficient(capsys):
+    # A coefficient with an even part has no section to measure in step 1;
+    # its residual must be JSON null, since strict parsers reject NaN.
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, _ = run_cli(
+        capsys, "experiment", "--field", "x1^2", "--samples", "256", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["steps"]["step1"]["projector_residual"] is None
+
+
 def test_usage_errors_exit_two(capsys):
     # each usage error with a fragment of its message; the shared options
     # are checked for every subcommand with the same messages as for verify

@@ -20,9 +20,11 @@ from spinbundles.section_algebra import (
     random_polynomial,
     section_from_odd,
     singlevaluedness_residuals,
+    validation_grid,
     zero_field,
     zero_section,
 )
+from spinbundles.section_algebra import _default_points
 
 X1, X2, X3 = (coordinate_field(i) for i in (1, 2, 3))
 
@@ -123,6 +125,18 @@ def test_section_from_odd_rejects_even():
         section_from_odd(X1 * X2)
     with pytest.raises(ParityError):
         section_from_odd(constant_field(1.0))
+
+
+@pytest.mark.parametrize("cached", [validation_grid, _default_points])
+def test_cached_sample_arrays_are_read_only(cached):
+    # Every caller shares these arrays; zeroing one would blind the parity
+    # check (X1 + X1*X2 would then pass as odd).
+    with pytest.raises(ValueError):
+        cached()[:] = 0.0
+    with pytest.raises(ValueError):
+        cached()[0, 0] = 2.0
+    with pytest.raises(ParityError):
+        section_from_odd(X1 + X1 * X2)
 
 
 def test_zero_section_round_trip(points):

@@ -12,7 +12,6 @@ from spinbundles.transport import (
     Curve,
     ProjectorField,
     antipodal_arc,
-    concatenate,
     constant_curve,
     constant_projector_field,
     flatness_report,
@@ -26,7 +25,7 @@ from spinbundles.transport import (
     reverse,
     small_circle,
 )
-from spinbundles.transport import _generator_grid
+from spinbundles.transport import _frame, _generator_grid
 
 E1 = SpherePoint(1.0, 0.0, 0.0)
 E2 = SpherePoint(0.0, 1.0, 0.0)
@@ -208,7 +207,7 @@ def test_step_doubling_reduces_error_fourth_order():
 def test_finite_difference_rate_matches_analytic():
     arc = antipodal_arc(E1, E3)
     ts = np.linspace(0.0, 1.0, 17)
-    xs, vs = arc.position(ts), arc.velocities(ts)
+    xs, vs = arc.position(ts), arc.velocity(ts)
     dt = 1e-6
     for name in ["odd-harmonic"] + [f"moved-line-{m}" for m in TRIPLET_MS]:
         field, c = _LINEAR_FIELDS[name]
@@ -255,33 +254,88 @@ def test_holonomy_rejects_field_with_different_antipodal_fibers():
     assert abs(holonomy(lopsided, great_circle(E1, E2), 1024) - 1.0) < 1e-6
 
 
-def test_concatenate_and_restrict():
-    left = antipodal_arc(E1, E3)
-    right = antipodal_arc(-E1.vec, -E3.vec)  # continues the same great circle
-    loop = concatenate(left, right)
-    assert loop.closure is Closure.CLOSED_ON_SPHERE
-    loop.validate()
-    assert abs(holonomy(P_LIN, loop, 4096) - 1.0) < 1e-6
-
+def test_restrict_ends_at_its_sub_interval():
     half = restrict(great_circle(E1, E3), 0.0, 0.5)
+    assert half.closure is Closure.OPEN
+    assert np.linalg.norm(half(0.0) - E1.vec) < 1e-12
     assert np.linalg.norm(half(1.0) + E1.vec) < 1e-12
-    with pytest.raises(GeometryError):
-        concatenate(left, left)
+
+
+def _warp(t):
+    return t + 0.1 * np.sin(2 * np.pi * t)
+
+
+def _warp_rate(t):
+    return 1.0 + 0.2 * np.pi * np.cos(2 * np.pi * t)
 
 
 def test_reparametrize_keeps_image():
     g = great_circle(E1, E3)
-    warped = reparametrize(
-        g,
-        lambda t: t + 0.1 * np.sin(2 * np.pi * t),
-        lambda t: 1.0 + 0.2 * np.pi * np.cos(2 * np.pi * t),
-    )
+    warped = reparametrize(g, _warp, _warp_rate)
     warped.validate()
     assert warped.closure is Closure.CLOSED_ON_SPHERE
     ts = np.linspace(0, 1, 33)
-    analytic = warped.velocities(ts)
-    fd = (warped.position(ts + 1e-6) - warped.position(ts - 1e-6)) / 2e-6
+    assert np.array_equal(warped.position(ts), g.position(_warp(ts)))
+
+
+_TILTED = SpherePoint.from_direction([1.0, 1.0, 1.0])
+
+# Every curve factory and combinator, each with a nontrivial frame or speed.
+_CURVES = {
+    "great-circle": lambda: great_circle([1.0, 2.0, 0.5], [0.3, -1.0, 2.0]),
+    "antipodal-arc": lambda: antipodal_arc(_TILTED, E2),
+    "small-circle": lambda: small_circle(_TILTED, 0.7),
+    "constant": lambda: constant_curve(_TILTED),
+    "restrict": lambda: restrict(small_circle(E1, 1.1), 0.2, 0.7),
+    "reverse": lambda: reverse(antipodal_arc(E1, E3)),
+    "reparametrize": lambda: reparametrize(great_circle(E1, E3), _warp, _warp_rate),
+}
+
+
+@pytest.mark.parametrize("curve_name", sorted(_CURVES))
+def test_velocity_matches_central_difference(curve_name):
+    curve = _CURVES[curve_name]()
+    ts = np.linspace(0.0, 1.0, 33)
+    dt = 1e-6
+    fd = (curve.position(ts + dt) - curve.position(ts - dt)) / (2 * dt)
+    analytic = curve.velocity(ts)
+    assert analytic.shape == fd.shape == (33, 3)
     assert np.abs(analytic - fd).max() < 1e-6
+
+
+def test_circle_factories_keep_their_closed_forms():
+    # The closed forms each factory wrote out before they shared one circle
+    # builder; positions and velocities must agree bit for bit.
+    ts = np.linspace(-0.25, 1.25, 97)
+
+    def arc(u, w, span):
+        ang = span * ts
+        pos = np.cos(ang)[..., None] * u + np.sin(ang)[..., None] * w
+        vel = span * (-np.sin(ang)[..., None] * u + np.cos(ang)[..., None] * w)
+        return pos, vel
+
+    def small(c, radius):
+        c = c / np.linalg.norm(c)
+        seed = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+        a = np.cross(c, seed)
+        a /= np.linalg.norm(a)
+        b = np.cross(c, a)
+        cr, sr = np.cos(radius), np.sin(radius)
+        ang = 2.0 * np.pi * ts
+        pos = cr * c + sr * (np.cos(ang)[..., None] * a + np.sin(ang)[..., None] * b)
+        vel = 2.0 * np.pi * sr * (-np.sin(ang)[..., None] * a + np.cos(ang)[..., None] * b)
+        return pos, vel
+
+    cases = []
+    for u, w in ((E1.vec, E3.vec), ([1.0, 2.0, 0.5], [0.3, -1.0, 2.0])):
+        fu, fw = _frame(u, w)
+        cases.append((great_circle(u, w), arc(fu, fw, 2.0 * np.pi)))
+        cases.append((antipodal_arc(u, w), arc(fu, fw, np.pi)))
+    for center, radius in ((E3.vec, 0.5), (E1.vec, 0.3), (_TILTED.vec, 1.1)):
+        cases.append((small_circle(center, radius), small(np.asarray(center), radius)))
+    for curve, (pos, vel) in cases:
+        assert np.array_equal(curve.position(ts), pos), curve.name
+        assert np.array_equal(curve.velocity(ts), vel), curve.name
 
 
 _LOOP_FIELDS = {name: field for name, (field, _) in _LINEAR_FIELDS.items()}
@@ -362,7 +416,7 @@ def test_generator_grid_matches_commutator(field_name):
     for curve in _rotated_loops(starts):
         gen = _generator_grid(field, curve, 64)
         ts = np.linspace(0.0, 1.0, 129)
-        xs, vs = curve.position(ts), curve.velocities(ts)
+        xs, vs = curve.position(ts), curve.velocity(ts)
         u = xs @ c.T
         p = u[..., :, None] * u.conj()[..., None, :]
         pdot = _rate_reference(c, xs, vs)
@@ -404,20 +458,7 @@ def _oracle_errors(field, c, curve):
 @pytest.mark.parametrize("field_name", ["odd-linear", "odd-harmonic", "moved-line-1"])
 def test_transport_matches_linear_frame_oracle(field_name):
     field, c = _LINEAR_FIELDS[field_name]
-    smooth_seam = concatenate(antipodal_arc(E1, E3), antipodal_arc(-E1.vec, -E3.vec))
-    for curve in [smooth_seam, *_rotated_loops(_POLE_STARTS)]:
+    for curve in _rotated_loops(_POLE_STARTS):
         errors = _oracle_errors(field, c, curve)
         assert errors[-1] < 1e-8
         assert np.all(errors[:-1] / errors[1:] >= 12.0)
-
-
-@pytest.mark.xfail(
-    strict=True,
-    reason="concatenate gives the seam node t = 1/2 only the second piece's velocity, "
-    "so RK4 drops to first order across a kinked seam",
-)
-def test_transport_keeps_fourth_order_across_kinked_seam():
-    field, c = _LINEAR_FIELDS["odd-linear"]
-    kinked = concatenate(antipodal_arc(E1, E3), antipodal_arc(-E1.vec, E2))
-    errors = _oracle_errors(field, c, kinked)
-    assert np.all(errors[:-1] / errors[1:] >= 12.0)
