@@ -51,6 +51,10 @@ def swap_label(label: tuple[int, int]) -> tuple[int, int]:
     return (label[1], label[0])
 
 
+# Column of swap(M) for each product label M, in PRODUCT_LABELS order.
+_SWAP_COLUMNS = [PRODUCT_LABELS.index(swap_label(lbl)) for lbl in PRODUCT_LABELS]
+
+
 def triplet_vector(m: int, k: int) -> np.ndarray:
     """Scheme basis vector |m>^(k) of the exchange triplet V_m, in C^10."""
     if m not in TRIPLET_MS or k not in TRIPLET_KS:
@@ -153,9 +157,9 @@ def exchange_full_angles(theta, phi, block_fn: BlockFn | None = None) -> np.ndar
     return u
 
 
-def exchange_full(r: SpherePoint, block_fn: BlockFn | None = None) -> np.ndarray:
+def exchange_full(r: SpherePoint) -> np.ndarray:
     theta, phi = angles_of(r.vec)
-    return exchange_full_angles(theta, phi, block_fn)
+    return exchange_full_angles(theta, phi)
 
 
 def transported_component_vector(theta, phi) -> np.ndarray:
@@ -171,16 +175,20 @@ def transported_component_vector(theta, phi) -> np.ndarray:
     return out
 
 
-def transported_basis(j: int, m: int, r: SpherePoint) -> np.ndarray:
-    """The moved basis vector |j m (r)> in C^10; unit norm, never vanishing."""
+def transported_basis(j: int, m: int, r: SpherePoint | np.ndarray) -> np.ndarray:
+    """The moved basis vector |j m (r)> at a point or an (..., 3) array, (..., 10).
+
+    Unit norm and never vanishing.
+    """
+    xs = r.vec if isinstance(r, SpherePoint) else np.asarray(r, dtype=float)
     if j == 0:
         if m != 0:
             raise GeometryError("the singlet label is (j=0, m=0)")
-        return singlet_vector()
+        return np.broadcast_to(singlet_vector(), xs.shape[:-1] + (DIMENSION,)).copy()
     if j != 1 or m not in TRIPLET_MS:
         raise GeometryError(f"invalid total-spin label (j={j}, m={m})")
-    theta, phi = angles_of(r.vec)
-    return block_matrix(m) @ transported_component_vector(theta, phi)
+    theta, phi = angles_of(xs)
+    return transported_component_vector(theta, phi) @ block_matrix(m).T
 
 
 def _product_frame_maps() -> tuple[np.ndarray, np.ndarray]:
@@ -227,8 +235,7 @@ def exchange_rule_residual(
     if basis == "product":
         here = moved_product_frames(theta, phi, block_fn)
         there = moved_product_frames(atheta, aphi, block_fn)
-        swap_cols = [PRODUCT_LABELS.index(swap_label(lbl)) for lbl in PRODUCT_LABELS]
-        residual = np.linalg.norm(there[..., swap_cols] + here, axis=-2)
+        residual = np.linalg.norm(there[..., _SWAP_COLUMNS] + here, axis=-2)
         return float(residual.max())
     if basis == "total":
         u_here = exchange_full_angles(theta, phi, block_fn)
@@ -271,11 +278,11 @@ def projector_P0() -> np.ndarray:
     return np.diag([0.0, 1.0, 0.0]).astype(complex)
 
 
-def projector_Pm(r: SpherePoint) -> np.ndarray:
-    """The moved projector U(r) P0 U(r)† on one triplet; even and rank 1."""
-    theta, phi = angles_of(r.vec)
+def projector_Pm(r: SpherePoint | np.ndarray) -> np.ndarray:
+    """The moved projector U(r) P0 U(r)† on one triplet, (..., 3, 3); even and rank 1."""
+    theta, phi = angles_of(r.vec if isinstance(r, SpherePoint) else r)
     u = exchange_block(theta, phi)
-    return u @ projector_P0() @ u.conj().T
+    return u @ projector_P0() @ u.conj().swapaxes(-1, -2)
 
 
 def exchange_line_field(m: int) -> ProjectorField:
@@ -348,16 +355,18 @@ def zero_wavefunction(basis: str = "product") -> TwoSpinWaveFunction:
     return TwoSpinWaveFunction({lbl: zero_field() for lbl in labels}, basis)
 
 
-def assemble_values(
-    psi: TwoSpinWaveFunction, xs: np.ndarray, block_fn: BlockFn | None = None
-) -> np.ndarray:
-    """The full state sum_M psi_M(r) |M(r)> over an (..., 3) sample, (..., 10)."""
-    psi = psi.to_product()
-    xs = np.asarray(xs, dtype=float)
+def _coefficients_and_state(
+    psi: TwoSpinWaveFunction, xs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product-label coefficients (..., 4) of psi at xs, and the state they assemble, (..., 10)."""
     theta, phi = angles_of(xs)
-    frames = moved_product_frames(theta, phi, block_fn)
     coeffs = np.stack([psi.coefficients[lbl](xs) for lbl in PRODUCT_LABELS], axis=-1)
-    return np.einsum("...ia,...a->...i", frames, coeffs)
+    return coeffs, np.einsum("...ia,...a->...i", moved_product_frames(theta, phi), coeffs)
+
+
+def assemble_values(psi: TwoSpinWaveFunction, xs: np.ndarray) -> np.ndarray:
+    """The full state sum_M psi_M(r) |M(r)> over an (..., 3) sample, (..., 10)."""
+    return _coefficients_and_state(psi.to_product(), np.asarray(xs, dtype=float))[1]
 
 
 def assemble_wavefunction(psi: TwoSpinWaveFunction, r: SpherePoint) -> np.ndarray:
@@ -381,23 +390,18 @@ def antisymmetrize(family: dict) -> dict:
 
 
 def spin_statistics_check(
-    psi: TwoSpinWaveFunction,
-    points: np.ndarray | None = None,
-    block_fn: BlockFn | None = None,
+    psi: TwoSpinWaveFunction, points: np.ndarray | None = None
 ) -> SpinStatisticsReport:
     """Residuals of (a) |Psi(-r)> = |Psi(r)> and (b) psi_swap(M)(-r) = -psi_M(r).
 
     Given the exchange rule for the moved basis the two identities are
-    equivalent, so the residuals vanish together.
+    equivalent, so the residuals vanish together.  Each coefficient is
+    evaluated once at r and once at -r.
     """
     psi = psi.to_product()
     xs = _default_points() if points is None else np.asarray(points, dtype=float)
-    here = assemble_values(psi, xs, block_fn)
-    there = assemble_values(psi, -xs, block_fn)
+    coeffs_here, here = _coefficients_and_state(psi, xs)
+    coeffs_there, there = _coefficients_and_state(psi, -xs)
     singlevalued = float(np.linalg.norm(there - here, axis=-1).max())
-    worst = 0.0
-    for lbl in PRODUCT_LABELS:
-        a = psi.coefficients[lbl](xs)
-        b = psi.coefficients[swap_label(lbl)](-xs)
-        worst = max(worst, float(np.abs(b + a).max()))
-    return SpinStatisticsReport(singlevalued, worst)
+    relation = float(np.abs(coeffs_there[..., _SWAP_COLUMNS] + coeffs_here).max())
+    return SpinStatisticsReport(singlevalued, relation)

@@ -72,22 +72,9 @@ def parse_polynomial(text: str):
     return polynomial_field(terms, name=text.strip())
 
 
-def _chi_variant(name: str) -> ChiVariant:
-    for variant in ChiVariant:
-        if variant.value == name:
-            return variant
-    raise ValueError(f"unknown chi variant {name!r}")
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_sampling(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--samples", type=int, default=2048, help="sample points (default 2048)")
-    p.add_argument("--ode-steps", type=int, default=4096, help="transport steps (default 4096)")
-    p.add_argument("--fd-step", type=float, default=1e-5, help="finite-difference step (default 1e-5)")
-    p.add_argument("--tol-algebraic", type=float, default=1e-12)
-    p.add_argument("--tol-functional", type=float, default=1e-10)
-    p.add_argument("--tol-holonomy", type=float, default=1e-6)
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +86,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    _add_common(p_verify)
+    _add_sampling(p_verify)
+    p_verify.add_argument(
+        "--ode-steps", type=int, default=4096, help="transport steps (default 4096)"
+    )
+    p_verify.add_argument(
+        "--fd-step", type=float, default=1e-5, help="finite-difference step (default 1e-5)"
+    )
+    p_verify.add_argument("--tol-algebraic", type=float, default=1e-12)
+    p_verify.add_argument("--tol-functional", type=float, default=1e-10)
+    p_verify.add_argument("--tol-holonomy", type=float, default=1e-6)
     p_verify.add_argument(
         "--fault-inject",
         metavar="CHECK_ID",
@@ -108,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_hol = sub.add_parser("holonomy", help="holonomy of a loop in one of the bundles")
-    _add_common(p_hol)
     p_hol.add_argument(
         "--bundle",
         required=True,
@@ -119,14 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="antipodal | small-circle:<radius> | great-circle",
     )
-    p_hol.add_argument("--steps", type=int, default=None, help="override --ode-steps")
+    p_hol.add_argument("--steps", type=int, default=4096, help="transport steps (default 4096)")
 
     p_ex = sub.add_parser("exchange", help="exchange block and residuals at a direction")
-    _add_common(p_ex)
     p_ex.add_argument("--at", required=True, metavar="THETA,PHI", help="angles in radians")
 
     p_exp = sub.add_parser("experiment", help="five-step gauge experiment")
-    _add_common(p_exp)
     p_exp.add_argument(
         "--chi",
         default="odd-linear",
@@ -139,21 +132,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="POLY",
         help="coefficient polynomial, e.g. 'x3' or '2*x1^2*x3 - x2'",
     )
+    _add_sampling(p_exp)
+    p_exp.add_argument("--tol-functional", type=float, default=1e-10)
+
+    for p in (p_verify, p_hol, p_ex, p_exp):
+        p.add_argument("--format", choices=("text", "json"), default="text")
     return parser
-
-
-def _config_from_args(args) -> SuiteConfig:
-    return SuiteConfig(
-        seed=args.seed,
-        samples=args.samples,
-        ode_steps=args.ode_steps,
-        fd_step=args.fd_step,
-        tol_algebraic=args.tol_algebraic,
-        tol_functional=args.tol_functional,
-        tol_holonomy=args.tol_holonomy,
-        output=args.format,
-        fault_inject=getattr(args, "fault_inject", None),
-    )
 
 
 def _print_report_text(report: VerificationReport, out) -> None:
@@ -174,7 +158,17 @@ def _print_report_text(report: VerificationReport, out) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = _config_from_args(args)
+    config = SuiteConfig(
+        seed=args.seed,
+        samples=args.samples,
+        ode_steps=args.ode_steps,
+        fd_step=args.fd_step,
+        tol_algebraic=args.tol_algebraic,
+        tol_functional=args.tol_functional,
+        tol_holonomy=args.tol_holonomy,
+        output=args.format,
+        fault_inject=args.fault_inject,
+    )
     report = run_suite(config)
     if args.format == "json":
         sys.stdout.write(report.to_json())
@@ -212,13 +206,12 @@ def _make_bundle(spec: str):
 def _cmd_holonomy(args) -> int:
     field = _make_bundle(args.bundle)
     loop = _make_loop(args.loop)
-    steps = args.steps if args.steps is not None else args.ode_steps
-    h = holonomy(field, loop, steps)
+    h = holonomy(field, loop, args.steps)
     if args.format == "json":
         payload = {
             "bundle": args.bundle,
             "loop": args.loop,
-            "steps": steps,
+            "steps": args.steps,
             "holonomy": {"re": h.real, "im": h.imag},
         }
         sys.stdout.write(json.dumps(payload) + "\n")
@@ -260,8 +253,15 @@ def _cmd_exchange(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # the same messages as SuiteConfig.validate gives for these options
+    if not 0 <= args.seed < 2**64:
+        raise ConfigError("seed must fit in 64 bits")
+    if args.samples < 64:
+        raise ConfigError("samples must be at least 64")
+    if args.tol_functional <= 0:
+        raise ConfigError("tol_functional must be positive")
     coeff = parse_polynomial(args.field)
-    variant = _chi_variant(args.chi)
+    variant = ChiVariant(args.chi)
     rng = np.random.default_rng(args.seed)
     points = sample_sphere(args.samples, rng)
     report = five_step_from_coefficient(
@@ -289,7 +289,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _config_from_args(args).validate()
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "holonomy":

@@ -388,9 +388,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         q = project(SpherePoint.from_vec(v))
         inside = ATLAS.charts_containing(q)
         for a_idx in inside:
+            back = chart_inverse(a_idx, chart_map(a_idx, q))
             for b_idx in inside:
-                uv = chart_map(a_idx, q)
-                back = chart_inverse(a_idx, uv)
                 direct = chart_map(b_idx, q)
                 again = chart_map(b_idx, back)
                 worst = max(worst, abs(direct[0] - again[0]), abs(direct[1] - again[1]))
@@ -577,11 +576,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     # Compose two different antipodal paths by transporting through both;
     # the loop downstairs traverses x0 -> -x0 -> x0 and must be trivial.
-    u0 = lb.chi(ChiVariant.ODD_LINEAR, e1)
-    ua = tp.parallel_transport(p_lin, arcs[0], u0, steps)
-    ua = p_lin.evaluate(-e1.vec) @ ua  # drop the integration drift off the fiber
+    # The first leg v0 -> v1 is also the transport the transport.* checks use.
+    v0 = lb.chi(ChiVariant.ODD_LINEAR, e1)
+    v1 = tp.parallel_transport(p_lin, arcs[0], v0, steps)
+    ua = p_lin.evaluate(-e1.vec) @ v1  # drop the integration drift off the fiber
     ub = tp.parallel_transport(p_lin, tp.antipodal_arc(-e1.vec, e2), ua, steps)
-    h_double = complex(np.vdot(u0, ub) / np.vdot(u0, u0))
+    h_double = complex(np.vdot(v0, ub) / np.vdot(v0, v0))
     record(
         "holonomy.squared-antipodal",
         "the square of an antipodal loop is contractible: h = +1",
@@ -607,8 +607,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         0.0,
     )
 
-    v0 = lb.chi(ChiVariant.ODD_LINEAR, e1)
-    v1 = tp.parallel_transport(p_lin, arcs[0], v0, steps)
     record(
         "transport.norm-preservation",
         "the transport generator is anti-Hermitian: |v| is constant",
@@ -692,22 +690,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         tol_a,
     )
 
-    worst = 0.0
-    for v in xs[:256]:
-        x = SpherePoint.from_vec(v)
-        for m in br.TRIPLET_MS:
-            worst = max(
-                worst,
-                float(
-                    np.linalg.norm(
-                        br.transported_basis(1, m, -x) + br.transported_basis(1, m, x)
-                    )
-                ),
-            )
-        worst = max(
-            worst,
-            float(np.linalg.norm(br.transported_basis(0, 0, -x) - br.transported_basis(0, 0, x))),
-        )
+    xs_sign = xs[:256]
+    sign_defects = [
+        br.transported_basis(1, m, -xs_sign) + br.transported_basis(1, m, xs_sign)
+        for m in br.TRIPLET_MS
+    ]
+    sign_defects.append(br.transported_basis(0, 0, -xs_sign) - br.transported_basis(0, 0, xs_sign))
+    worst = max(float(np.linalg.norm(d, axis=-1).max()) for d in sign_defects)
     record(
         "exchange.antipodal-sign",
         "|1m(-r)> = -|1m(r)> while |00(r)> is constant",
@@ -753,28 +742,20 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         1e-6,
     )
 
-    worst_construction = 0.0
-    worst_even = 0.0
-    worst_match = 0.0
-    for v in xs[:512]:
-        x = SpherePoint.from_vec(v)
-        pm = br.projector_Pm(x)
-        th, ph = angles_of(v)
-        tv = br.transported_component_vector(th, ph)
-        worst_construction = max(
-            worst_construction, float(np.abs(pm - np.outer(tv, tv.conj())).max())
-        )
-        worst_even = max(worst_even, float(np.abs(br.projector_Pm(-x) - pm).max()))
-        worst_match = max(
-            worst_match,
-            float(np.abs(pm - lb.projector_minus(x, ChiVariant.ODD_HARMONIC)).max()),
-        )
-    record("br.pm-construction", "U P0 U† = |1m(r)><1m(r)|", worst_construction, tol_a)
-    record("br.pm-even", "P_m(-r) = P_m(r)", worst_even, tol_a)
+    xs_pm = xs[:512]
+    pm = br.projector_Pm(xs_pm)
+    tv = br.transported_component_vector(*angles_of(xs_pm))
+    record(
+        "br.pm-construction",
+        "U P0 U† = |1m(r)><1m(r)|",
+        np.abs(pm - tv[..., :, None] * tv.conj()[..., None, :]).max(),
+        tol_a,
+    )
+    record("br.pm-even", "P_m(-r) = P_m(r)", np.abs(br.projector_Pm(-xs_pm) - pm).max(), tol_a)
     record(
         "br.pm-matches-gauge-projector",
         "the moved-line projector equals the odd harmonic gauge projector",
-        worst_match,
+        np.abs(pm - lb.projector_values(ChiVariant.ODD_HARMONIC, xs_pm)).max(),
         tol_a,
     )
 

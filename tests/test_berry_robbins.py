@@ -13,6 +13,7 @@ from spinbundles.berry_robbins import (
     PRODUCT_LABELS,
     TRIPLET_KS,
     TRIPLET_MS,
+    SpinStatisticsReport,
     TwoSpinWaveFunction,
     antisymmetrize,
     assemble_values,
@@ -146,6 +147,68 @@ def test_transported_basis_antipodal_signs(points):
         for m in TRIPLET_MS:
             res = np.linalg.norm(transported_basis(1, m, -x) + transported_basis(1, m, x))
             assert res < 1e-12
+
+
+def _unit(v):
+    v = np.asarray(v, dtype=float)
+    return v / np.linalg.norm(v)
+
+
+def _seam_point(pair, t, signs):
+    v = np.full(3, np.sqrt(max(1.0 - 2.0 * t * t, 0.0)))
+    v[list(pair)] = t
+    return _unit(v * np.array(signs))
+
+
+# Unit vectors at the poles, within 1e-9 of them, on the chart seams
+# |x_a| = |x_b|, and at random.
+_NEAR_POLE = st.builds(
+    lambda eps, az, sign: _unit([eps * np.cos(az), eps * np.sin(az), sign]),
+    st.floats(0.0, 1e-9),
+    st.floats(0.0, 2 * np.pi),
+    st.sampled_from([-1.0, 1.0]),
+)
+_SEAM = st.builds(
+    _seam_point,
+    st.sampled_from([(0, 1), (0, 2), (1, 2)]),
+    st.floats(0.01, 1.0 / SQRT2),
+    st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3),
+)
+_RANDOM = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+    lambda v: np.linalg.norm(v) > 1e-3
+).map(_unit)
+_UNIT_VECTORS = st.one_of(
+    st.sampled_from([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]),
+    _NEAR_POLE,
+    _SEAM,
+    _RANDOM,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vs=st.lists(_UNIT_VECTORS, min_size=1, max_size=12))
+def test_moved_basis_array_forms_match_scalar_bitwise(vs):
+    xs = np.array(vs)
+    pm = projector_Pm(xs)
+    moved = {m: transported_basis(1, m, xs) for m in TRIPLET_MS}
+    for i, v in enumerate(xs):
+        x = SpherePoint.from_vec(v)
+        assert np.array_equal(projector_Pm(x), pm[i])
+        for m in TRIPLET_MS:
+            assert np.array_equal(transported_basis(1, m, x), moved[m][i])
+        assert np.array_equal(transported_basis(0, 0, x), singlet_vector())
+
+
+def test_moved_basis_array_shapes(points):
+    for xs in (points[0], points[:10], points[:10].reshape(2, 5, 3)):
+        lead = xs.shape[:-1]
+        assert projector_Pm(xs).shape == lead + (3, 3)
+        for j, m in ((1, -1), (1, 0), (1, 1), (0, 0)):
+            assert transported_basis(j, m, xs).shape == lead + (DIMENSION,)
+        flat = projector_Pm(xs.reshape(-1, 3))
+        assert np.array_equal(projector_Pm(xs), flat.reshape(lead + (3, 3)))
+        singlet = transported_basis(0, 0, xs)
+        assert np.array_equal(singlet, np.broadcast_to(singlet_vector(), singlet.shape))
 
 
 def _frames_reference(theta, phi, block_fn):
@@ -380,6 +443,25 @@ def test_spin_statistics_zero():
     assert rep.coefficient_relation_residual == 0.0
 
 
+def _spin_report_reference(psi, xs):
+    # two passes: assemble the states at r and -r, then evaluate every
+    # coefficient again for the relation psi_swap(M)(-r) = -psi_M(r)
+    psi = psi.to_product()
+
+    def state(ys):
+        frames = moved_product_frames(*angles_of(ys))
+        coeffs = np.stack([psi.coefficients[lbl](ys) for lbl in PRODUCT_LABELS], axis=-1)
+        return np.einsum("...ia,...a->...i", frames, coeffs)
+
+    singlevalued = float(np.linalg.norm(state(-xs) - state(xs), axis=-1).max())
+    relation = 0.0
+    for lbl in PRODUCT_LABELS:
+        a = psi.coefficients[lbl](xs)
+        b = psi.coefficients[swap_label(lbl)](-xs)
+        relation = max(relation, float(np.abs(b + a).max()))
+    return SpinStatisticsReport(singlevalued, relation)
+
+
 def test_residuals_vanish_together(points, rng):
     from spinbundles.section_algebra import random_polynomial
 
@@ -388,6 +470,7 @@ def test_residuals_vanish_together(points, rng):
         comply = bool(rng.integers(0, 2))
         psi = TwoSpinWaveFunction(antisymmetrize(raw) if comply else raw, "product")
         rep = spin_statistics_check(psi, points[:256])
+        assert rep == _spin_report_reference(psi, points[:256])
         both_small = (
             rep.singlevalued_residual <= 1e-10 and rep.coefficient_relation_residual <= 1e-10
         )

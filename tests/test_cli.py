@@ -172,8 +172,8 @@ def test_experiment_json_is_strict_for_even_coefficient(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    # each usage error with a fragment of its message; the shared options
-    # are checked for every subcommand with the same messages as for verify
+    # each usage error with a fragment of its message; experiment checks
+    # its sampling options with the same messages as verify
     for argv, message in (
         (["bogus"], "invalid choice"),
         (["verify", "--fault-inject", "nonsense"], "no fault is wired"),
@@ -188,11 +188,35 @@ def test_usage_errors_exit_two(capsys):
         ),
         (["experiment", "--field", "x3", "--samples", "0"], "samples must be at least 64"),
         (
-            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--tol-holonomy", "0"],
-            "tol_holonomy must be positive",
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--steps", "8"],
+            "steps must be at least 16",
         ),
+        # each subcommand takes only the options it reads
+        (
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--tol-holonomy", "0"],
+            "unrecognized arguments",
+        ),
+        (
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--samples", "16"],
+            "unrecognized arguments",
+        ),
+        (
+            [
+                "holonomy", "--bundle", "xi-minus", "--loop", "antipodal",
+                "--tol-holonomy", "1e-30", "--steps", "256",
+            ],
+            "unrecognized arguments",
+        ),
+        (
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--ode-steps", "256"],
+            "unrecognized arguments",
+        ),
+        (["exchange", "--at", "0.3,0.2", "--ode-steps", "8"], "unrecognized arguments"),
+        (["exchange", "--at", "0.3,0.2", "--tol-algebraic", "1e-40"], "unrecognized arguments"),
+        (["experiment", "--field", "x3", "--ode-steps", "64"], "unrecognized arguments"),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
         assert message in capsys.readouterr().err
+
