@@ -20,7 +20,7 @@ import numpy as np
 from .config_space import SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
 from .line_bundle import ChiVariant, chi_matrix
-from .section_algebra import ScalarField, _default_points
+from .section_algebra import ScalarField
 from .transport import Curve, ProjectorField, constant_projector_field, linear_line_field
 
 DIMENSION = 10
@@ -133,12 +133,12 @@ def exchange_block(theta, phi) -> np.ndarray:
 BlockFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def perturbed_block(epsilon: float = 1e-3, entry: tuple[int, int] = (0, 1)) -> BlockFn:
-    """A deliberately broken exchange block for fault-injection harnesses."""
+def perturbed_block() -> BlockFn:
+    """A deliberately broken exchange block (1e-3 added at entry (0, 1)) for fault injection."""
 
     def block(theta, phi):
         u = exchange_block(theta, phi)
-        u[..., entry[0], entry[1]] += epsilon
+        u[..., 0, 1] += 1e-3
         return u
 
     return block
@@ -220,7 +220,7 @@ def moved_product_frames(theta, phi, block_fn: BlockFn | None = None) -> np.ndar
 
 
 def exchange_rule_residual(
-    points: np.ndarray | None = None,
+    points: np.ndarray,
     basis: str = "product",
     block_fn: BlockFn | None = None,
 ) -> float:
@@ -229,8 +229,7 @@ def exchange_rule_residual(
     product basis: || |swap(M)(-r)> + |M(r)> ||  (spin 1/2, so the sign is -1);
     total basis:   the triplet picks up -1 and the singlet +1.
     """
-    xs = _default_points() if points is None else np.asarray(points, dtype=float)
-    theta, phi = angles_of(xs)
+    theta, phi = angles_of(points)
     atheta, aphi = antipode_angles(theta, phi)
     if basis == "product":
         here = moved_product_frames(theta, phi, block_fn)
@@ -253,17 +252,16 @@ def exchange_rule_residual(
 def br_parallel_residual(
     curve: Curve,
     h: float,
-    num_t: int = 64,
     block_fn: BlockFn | None = None,
 ) -> float:
-    """sup_t,M,M' |<M'(r(t))| d/dt |M(r(t))>| with a central-difference derivative.
+    """sup_t,M,M' |<M'(r(t))| d/dt |M(r(t))>| over 64 times, with a central-difference derivative.
 
     Zero analytically for the moved basis (the basis is parallel); the
     numerical value decays as O(h^2) down to the rounding floor.
     """
     if not 1e-7 <= h <= 1e-3:
         raise GeometryError("finite-difference step must lie in [1e-7, 1e-3]")
-    ts = np.linspace(0.0, 1.0, num_t)
+    ts = np.linspace(0.0, 1.0, 64)
     frames = []
     for dt in (-h, 0.0, h):
         theta, phi = angles_of(curve.position(ts + dt))
@@ -389,9 +387,7 @@ def antisymmetrize(family: dict) -> dict:
     return out
 
 
-def spin_statistics_check(
-    psi: TwoSpinWaveFunction, points: np.ndarray | None = None
-) -> SpinStatisticsReport:
+def spin_statistics_check(psi: TwoSpinWaveFunction, points: np.ndarray) -> SpinStatisticsReport:
     """Residuals of (a) |Psi(-r)> = |Psi(r)> and (b) psi_swap(M)(-r) = -psi_M(r).
 
     Given the exchange rule for the moved basis the two identities are
@@ -399,7 +395,7 @@ def spin_statistics_check(
     evaluated once at r and once at -r.
     """
     psi = psi.to_product()
-    xs = _default_points() if points is None else np.asarray(points, dtype=float)
+    xs = np.asarray(points, dtype=float)
     coeffs_here, here = _coefficients_and_state(psi, xs)
     coeffs_there, there = _coefficients_and_state(psi, -xs)
     singlevalued = float(np.linalg.norm(there - here, axis=-1).max())

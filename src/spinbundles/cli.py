@@ -25,6 +25,7 @@ from .experiments import (
     FAULT_TARGETS,
     SuiteConfig,
     VerificationReport,
+    _check_sampling,
     five_step_from_coefficient,
     run_suite,
 )
@@ -253,13 +254,7 @@ def _cmd_exchange(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    # the same messages as SuiteConfig.validate gives for these options
-    if not 0 <= args.seed < 2**64:
-        raise ConfigError("seed must fit in 64 bits")
-    if args.samples < 64:
-        raise ConfigError("samples must be at least 64")
-    if args.tol_functional <= 0:
-        raise ConfigError("tol_functional must be positive")
+    _check_sampling(args.seed, args.samples, args.tol_functional)
     coeff = parse_polynomial(args.field)
     variant = ChiVariant(args.chi)
     rng = np.random.default_rng(args.seed)

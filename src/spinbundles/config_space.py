@@ -65,12 +65,11 @@ class SpherePoint:
 
     @property
     def theta(self) -> float:
-        return math.acos(min(1.0, max(-1.0, self.x3)))
+        return float(angles_of(self.vec)[0])
 
     @property
     def phi(self) -> float:
-        # Convention: phi = 0 at the poles (atan2(0, 0) = 0).
-        return math.atan2(self.x2, self.x1) % TWO_PI
+        return float(angles_of(self.vec)[1])
 
     def __neg__(self) -> "SpherePoint":
         return SpherePoint(-self.x1, -self.x2, -self.x3)

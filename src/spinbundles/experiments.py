@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,6 +38,19 @@ from .section_algebra import (
 
 NEAR_ZERO_SECTION = 1e-8
 DETECTION_LEVEL = 1e-3
+MAX_SAMPLES = 1 << 20  # bounds the (samples, 3) arrays and what is built from them
+
+
+def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
+    """The input checks shared by the suite and the experiment command."""
+    if not 0 <= int(seed) < 2**64:
+        raise ConfigError("seed must fit in 64 bits")
+    if samples < 64:
+        raise ConfigError("samples must be at least 64")
+    if samples > MAX_SAMPLES:
+        raise ConfigError(f"samples must be at most {MAX_SAMPLES}")
+    if tol_functional <= 0:
+        raise ConfigError("tol_functional must be positive")
 
 
 @dataclass
@@ -55,15 +68,14 @@ class SuiteConfig:
     fault_inject: str | None = None
 
     def validate(self) -> None:
-        if not 0 <= int(self.seed) < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
-        if self.samples < 64:
-            raise ConfigError("samples must be at least 64")
+        _check_sampling(self.seed, self.samples, self.tol_functional)
         if self.ode_steps < 16:
             raise ConfigError("ode_steps must be at least 16")
+        if self.ode_steps > tp.MAX_STEPS:
+            raise ConfigError(f"ode_steps must be at most {tp.MAX_STEPS}")
         if not 1e-7 <= self.fd_step <= 1e-3:
             raise ConfigError("fd_step must lie in [1e-7, 1e-3]")
-        for name in ("tol_algebraic", "tol_functional", "tol_holonomy"):
+        for name in ("tol_algebraic", "tol_holonomy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         if self.output not in ("text", "json"):
@@ -241,7 +253,7 @@ def _residual_record(sigma: PullbackSection, action, xs: np.ndarray) -> dict:
 def five_step_experiment(
     source: SectionXi,
     chi_variant: ChiVariant,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
     tol: float = 1e-10,
 ) -> FiveStepReport:
     """Run the five-step gauge comparison for a downstairs section.
@@ -252,7 +264,7 @@ def five_step_experiment(
     5. measure the same residuals in the target gauge.  Verdict flags come
     from step 5 (suppressed for near-zero sections).
     """
-    xs = sa._default_points() if points is None else np.asarray(points, dtype=float)
+    xs = np.asarray(points, dtype=float)
     step1 = {
         "coefficients": [f.name for f in source.fields],
         "projector_residual": source.projector_residual(sa.validation_grid()),
@@ -297,8 +309,7 @@ def _five_step_tail(
 def five_step_from_coefficient(
     a: ScalarField,
     chi_variant: ChiVariant,
-    source_variant: ChiVariant = ChiVariant.ODD_LINEAR,
-    points: np.ndarray | None = None,
+    points: np.ndarray,
     tol: float = 1e-10,
 ) -> FiveStepReport:
     """Five-step run from a raw coefficient function.
@@ -307,15 +318,14 @@ def five_step_from_coefficient(
     runs on it.  A coefficient with an even part does not come from any
     section downstairs; the residual analysis still runs on the raw
     pull-back-bundle section it defines, and step 1 records the defect.
+    Either way the source gauge is the odd linear one.
     """
-    xs = sa._default_points() if points is None else np.asarray(points, dtype=float)
+    xs = np.asarray(points, dtype=float)
     grid = sa.validation_grid()
     _, odd_defect = a.parity_defects(grid)
     scale = max(1.0, float(np.abs(a(grid)).max()))
     if odd_defect <= 1e-10 * scale:
-        source = section_from_odd(
-            ScalarField(a.evaluator, "odd", a.name), source_variant
-        )
+        source = section_from_odd(replace(a, parity="odd"))
         return five_step_experiment(source, chi_variant, xs, tol)
 
     step1 = {
@@ -323,7 +333,7 @@ def five_step_from_coefficient(
         "projector_residual": None,  # JSON null: there is no section to measure
         "note": "coefficient has an even part; not the image of any section",
     }
-    return _five_step_tail(step1, PullbackSection(a, source_variant), chi_variant, xs, tol)
+    return _five_step_tail(step1, PullbackSection(a), chi_variant, xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +726,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         "br.parallel-residual",
         "<M'(r(t))| d/dt |M(r(t))> = 0: the moved basis is parallel",
         max(
-            br.br_parallel_residual(great, config.fd_step, 64, block_fn),
-            br.br_parallel_residual(warped, config.fd_step, 64, block_fn),
+            br.br_parallel_residual(great, config.fd_step, block_fn),
+            br.br_parallel_residual(warped, config.fd_step, block_fn),
         ),
         1e-8,
     )
-    r_coarse = br.br_parallel_residual(warped, 1e-4, 64)
-    r_fine = br.br_parallel_residual(warped, 5e-5, 64)
+    r_coarse = br.br_parallel_residual(warped, 1e-4)
+    r_fine = br.br_parallel_residual(warped, 5e-5)
     record(
         "br.parallel-order2",
         "the central-difference residual decays at second order in h",

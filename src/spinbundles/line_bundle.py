@@ -102,9 +102,10 @@ def idempotency_defect(p: np.ndarray) -> float:
     return float(np.linalg.norm(p @ p - p, axis=(-2, -1)).max())
 
 
-def trace_defect(p: np.ndarray, rank: int = 1) -> float:
+def trace_defect(p: np.ndarray) -> float:
+    """sup |tr P - 1|: the distance from rank one."""
     tr = np.trace(p, axis1=-2, axis2=-1)
-    return float(np.abs(tr - rank).max())
+    return float(np.abs(tr - 1).max())
 
 
 def transition(alpha: int, beta: int, q: ProjectivePoint) -> int:

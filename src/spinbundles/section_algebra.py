@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -28,9 +28,6 @@ from .line_bundle import ActionLabel, ChiVariant, GroupAction, chi_values
 # Tolerance for sampled functional identities (parity checks, projector-fixed
 # residuals); algebraic chains are held to 1e-12 in the tests.
 FUNCTIONAL_TOL = 1e-10
-
-DEFAULT_SAMPLE_SEED = 1729
-DEFAULT_SAMPLE_COUNT = 2048
 
 
 def _combine_parity(p: str | None, q: str | None, mode: str) -> str | None:
@@ -116,7 +113,7 @@ def coordinate_field(i: int) -> ScalarField:
 
 
 def zero_field() -> ScalarField:
-    return ScalarField(lambda xs: np.zeros(np.asarray(xs).shape[:-1], dtype=complex), "even", "0")
+    return constant_field(0.0, "0")
 
 
 def polynomial_field(terms, name: str | None = None) -> ScalarField:
@@ -202,25 +199,16 @@ def parity_decompose(a: ScalarField) -> tuple[ScalarField, ScalarField]:
     These are the two isotypic projections of the antipode action on
     functions; the decomposition reconstructs a pointwise.
     """
-    ev = a.evaluator
-
-    def even_part(xs):
-        xs = np.asarray(xs, dtype=float)
-        return 0.5 * (ev(xs) + ev(-xs))
-
-    def odd_part(xs):
-        xs = np.asarray(xs, dtype=float)
-        return 0.5 * (ev(xs) - ev(-xs))
-
     return (
-        ScalarField(even_part, "even", f"even[{a.name}]"),
-        ScalarField(odd_part, "odd", f"odd[{a.name}]"),
+        replace(0.5 * (a + a.reflect()), parity="even", name=f"even[{a.name}]"),
+        replace(0.5 * (a - a.reflect()), parity="odd", name=f"odd[{a.name}]"),
     )
 
 
-@functools.lru_cache(maxsize=4)
-def validation_grid(n: int = 512) -> np.ndarray:
-    """Deterministic well-spread points on S2 (Fibonacci lattice), (n, 3)."""
+@functools.cache
+def validation_grid() -> np.ndarray:
+    """Deterministic well-spread points on S2 (Fibonacci lattice), (512, 3)."""
+    n = 512
     i = np.arange(n) + 0.5
     z = 1.0 - 2.0 * i / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
@@ -310,16 +298,8 @@ def odd_from_section(f: SectionXi) -> ScalarField:
         raise GeometryError(
             f"coefficients are not projector-fixed (residual {residual:.3e}); not a section"
         )
-    fields = f.fields
-
-    def ev(xs):
-        xs = np.asarray(xs, dtype=float)
-        out = np.zeros(xs.shape[:-1], dtype=complex)
-        for a in range(3):
-            out += xs[..., a] * fields[a](xs)
-        return out
-
-    return ScalarField(ev, "odd", "sum_a x_a*f_a")
+    x1, x2, x3 = (coordinate_field(i) for i in (1, 2, 3))
+    return replace(x1 * f.f1 + x2 * f.f2 + x3 * f.f3, parity="odd", name="sum_a x_a*f_a")
 
 
 def project_to_section(
@@ -382,46 +362,31 @@ def g_action_on_section(
     if g.sign == 1:
         return PullbackSection(sigma.coefficient, sigma.variant)
     a = sigma.coefficient
-    ev = a.evaluator
     # Both actions transform the coefficient the same way: under tau-tilde the
     # ambient vector a(-x) chi(-x) re-expands against the odd chi(x) as
     # -a(-x) chi(x); tau-prime flips the coefficient sign by definition.
-    new_ev = lambda xs: -ev(-np.asarray(xs))
-    return PullbackSection(ScalarField(new_ev, a.parity, f"(g.{a.name})"), sigma.variant)
+    return PullbackSection(replace(-a.reflect(), name=f"(g.{a.name})"), sigma.variant)
 
 
-@functools.lru_cache(maxsize=2)
-def _default_points(n: int = DEFAULT_SAMPLE_COUNT, seed: int = DEFAULT_SAMPLE_SEED) -> np.ndarray:
-    from .config_space import sample_sphere
-
-    xs = sample_sphere(n, seed)
-    xs.setflags(write=False)  # shared by every caller through the cache
-    return xs
-
-
-def invariance_residual(
-    sigma: PullbackSection, action: GroupAction, points: np.ndarray | None = None
-) -> float:
+def invariance_residual(sigma: PullbackSection, action: GroupAction, points: np.ndarray) -> float:
     """sup_x |(g.sigma)(x) - sigma(x)| for the nontrivial group element.
 
     Vanishes exactly when the section is invariant, i.e. lies in the image of
     the pull-back of a downstairs section (coefficient odd).
     """
-    xs = _default_points() if points is None else np.asarray(points, dtype=float)
+    xs = np.asarray(points, dtype=float)
     acted = g_action_on_section(sigma, GroupElement(-1), action)
     diff = acted.values(xs) - sigma.values(xs)
     return float(np.linalg.norm(diff, axis=-1).max())
 
 
-def singlevaluedness_residuals(
-    sigma: PullbackSection, points: np.ndarray | None = None
-) -> tuple[float, float]:
+def singlevaluedness_residuals(sigma: PullbackSection, points: np.ndarray) -> tuple[float, float]:
     """(sup |v(-x) - v(x)|, sup |v(-x) + v(x)|) for the ambient fiber vectors.
 
     The first vanishes for sections taking equal values at antipodes, the
     second for sections taking opposite values.
     """
-    xs = _default_points() if points is None else np.asarray(points, dtype=float)
+    xs = np.asarray(points, dtype=float)
     v = sigma.values(xs)
     w = sigma.values(-xs)
     same = float(np.linalg.norm(w - v, axis=-1).max())

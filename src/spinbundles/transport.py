@@ -28,6 +28,7 @@ from .line_bundle import ChiVariant, chi_matrix
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
+MAX_STEPS = 65536  # bounds the generator grid, 2 * steps + 1 matrices
 
 ENDPOINT_TOL = 1e-10
 
@@ -250,6 +251,8 @@ def parallel_transport(
     """
     if steps < MIN_STEPS:
         raise GeometryError(f"steps must be at least {MIN_STEPS}")
+    if steps > MAX_STEPS:
+        raise GeometryError(f"steps must be at most {MAX_STEPS}")
     v0 = np.asarray(v0, dtype=complex)
     p0 = field.evaluate(curve(0.0))
     defect = np.linalg.norm(v0 - p0 @ v0)

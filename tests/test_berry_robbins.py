@@ -271,7 +271,7 @@ def test_exchange_rule_reduction_at_pole():
 
 
 def test_exchange_rule_detects_perturbation(points):
-    bad = perturbed_block(1e-3)
+    bad = perturbed_block()
     assert exchange_rule_residual(points[:200], "product", bad) > 1e-4
 
 
@@ -437,8 +437,8 @@ def test_spin_statistics_violating_family(points):
     assert rep.coefficient_relation_residual > 0.1
 
 
-def test_spin_statistics_zero():
-    rep = spin_statistics_check(zero_wavefunction())
+def test_spin_statistics_zero(points):
+    rep = spin_statistics_check(zero_wavefunction(), points)
     assert rep.singlevalued_residual == 0.0
     assert rep.coefficient_relation_residual == 0.0
 

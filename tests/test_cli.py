@@ -187,6 +187,17 @@ def test_usage_errors_exit_two(capsys):
             "tol_functional must be positive",
         ),
         (["experiment", "--field", "x3", "--samples", "0"], "samples must be at least 64"),
+        # sizes are capped before anything is allocated
+        (["verify", "--samples", "100000000000"], "samples must be at most 1048576"),
+        (["verify", "--ode-steps", "100000000000"], "ode_steps must be at most 65536"),
+        (
+            ["experiment", "--field", "x3", "--samples", "100000000000"],
+            "samples must be at most 1048576",
+        ),
+        (
+            ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--steps", "100000000000"],
+            "steps must be at most 65536",
+        ),
         (
             ["holonomy", "--bundle", "xi-minus", "--loop", "antipodal", "--steps", "8"],
             "steps must be at least 16",

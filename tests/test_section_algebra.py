@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinbundles.config_space import GroupElement, SpherePoint
+from spinbundles.config_space import GroupElement, SpherePoint, sample_sphere
 from spinbundles.errors import BindingError, GeometryError, ParityError
 from spinbundles.line_bundle import ChiVariant, chi_values, tau_minus, tau_prime, tau_tilde
 from spinbundles.section_algebra import (
@@ -24,7 +26,6 @@ from spinbundles.section_algebra import (
     zero_field,
     zero_section,
 )
-from spinbundles.section_algebra import _default_points
 
 X1, X2, X3 = (coordinate_field(i) for i in (1, 2, 3))
 
@@ -127,9 +128,9 @@ def test_section_from_odd_rejects_even():
         section_from_odd(constant_field(1.0))
 
 
-@pytest.mark.parametrize("cached", [validation_grid, _default_points])
+@pytest.mark.parametrize("cached", [validation_grid])
 def test_cached_sample_arrays_are_read_only(cached):
-    # Every caller shares these arrays; zeroing one would blind the parity
+    # Every caller shares this array; zeroing it would blind the parity
     # check (X1 + X1*X2 would then pass as odd).
     with pytest.raises(ValueError):
         cached()[:] = 0.0
@@ -270,3 +271,79 @@ def test_scalar_field_scalar_call():
     p = SpherePoint(0.0, 0.0, 1.0)
     assert X3(p) == 1.0
     assert isinstance(X3(p), complex)
+
+
+# Reference forms of parity_decompose, odd_from_section and the coefficient
+# map of g_action_on_section as direct closures over the evaluators; the
+# library builds them from the ScalarField operators and must match bit for bit.
+def _reference_parity_decompose(a):
+    ev = a.evaluator
+
+    def even_part(xs):
+        xs = np.asarray(xs, dtype=float)
+        return 0.5 * (ev(xs) + ev(-xs))
+
+    def odd_part(xs):
+        xs = np.asarray(xs, dtype=float)
+        return 0.5 * (ev(xs) - ev(-xs))
+
+    return (
+        ScalarField(even_part, "even", f"even[{a.name}]"),
+        ScalarField(odd_part, "odd", f"odd[{a.name}]"),
+    )
+
+
+def _reference_odd_from_section(f):
+    fields = f.fields
+
+    def ev(xs):
+        xs = np.asarray(xs, dtype=float)
+        out = np.zeros(xs.shape[:-1], dtype=complex)
+        for a in range(3):
+            out += xs[..., a] * fields[a](xs)
+        return out
+
+    return ScalarField(ev, "odd", "sum_a x_a*f_a")
+
+
+def _reference_g_coefficient(a):
+    ev = a.evaluator
+    return ScalarField(lambda xs: -ev(-np.asarray(xs)), a.parity, f"(g.{a.name})")
+
+
+def _field_of_kind(rng, kind):
+    if kind == "complex":
+        coeffs = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        return polynomial_field(list(zip(coeffs, rng.integers(0, 3, size=(5, 3)))))
+    return random_polynomial(rng, 4, None if kind == "mixed" else kind)
+
+
+_KINDS = st.sampled_from(["mixed", "odd", "even", "complex"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kinds=st.tuples(_KINDS, _KINDS),
+    combine=st.sampled_from(["single", "sum", "product"]),
+)
+def test_operator_built_maps_match_reference_closures(seed, kinds, combine):
+    rng = np.random.default_rng(seed)
+    f, g = (_field_of_kind(rng, kind) for kind in kinds)
+    a = {"single": f, "sum": f + g, "product": f * g}[combine]
+    xs = sample_sphere(64, rng)
+    samples = (xs, xs[:10].reshape(2, 5, 3), SpherePoint.from_vec(xs[0]))
+
+    def assert_same(field, reference):
+        assert (field.name, field.parity) == (reference.name, reference.parity)
+        for x in samples:
+            assert np.array_equal(field(x), reference(x))
+
+    for part, reference in zip(parity_decompose(a), _reference_parity_decompose(a)):
+        assert_same(part, reference)
+    acted = g_action_on_section(PullbackSection(a), GroupElement(-1), tau_tilde())
+    assert_same(acted.coefficient, _reference_g_coefficient(a))
+    odd = _reference_parity_decompose(a)[1]
+    evens = [random_polynomial(rng, 4, "even") for _ in range(3)]
+    for section in (section_from_odd(odd), project_to_section(*evens)):
+        assert_same(odd_from_section(section), _reference_odd_from_section(section))

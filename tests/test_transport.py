@@ -8,6 +8,7 @@ from spinbundles.config_space import SpherePoint
 from spinbundles.errors import FiberMembershipError, GeometryError
 from spinbundles.line_bundle import ChiVariant, chi, chi_matrix
 from spinbundles.transport import (
+    MAX_STEPS,
     Closure,
     Curve,
     ProjectorField,
@@ -113,6 +114,8 @@ def test_transport_rejects_bad_input():
     v0 = chi(ChiVariant.ODD_LINEAR, E1)
     with pytest.raises(GeometryError):
         parallel_transport(P_LIN, quarter_circle(), v0, 8)
+    with pytest.raises(GeometryError, match="steps must be at most 65536"):
+        parallel_transport(P_LIN, quarter_circle(), v0, MAX_STEPS + 1)
     with pytest.raises(FiberMembershipError):
         parallel_transport(P_LIN, quarter_circle(), np.array([0.0, 0.0, 1.0]), 64)
 
