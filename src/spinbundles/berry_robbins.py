@@ -11,7 +11,9 @@ of the nontrivial line bundle plus a trivial one.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +27,7 @@ from .transport import Curve, ProjectorField, constant_projector_field, linear_l
 
 DIMENSION = 10
 SQRT2 = math.sqrt(2.0)
+FD_STEP_RANGE = (1e-7, 1e-3)  # the central-difference steps br_parallel_residual accepts
 
 #: Total-spin projections carrying an exchange triplet.
 TRIPLET_MS = (-1, 0, 1)
@@ -45,6 +48,8 @@ _SLOT = {
 
 #: Product labels (m1, m2) in units of 1/2, ordered to match e1..e4.
 PRODUCT_LABELS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+#: Total-spin labels (j, m): the triplet in TRIPLET_MS order, then the singlet.
+TOTAL_LABELS = ((1, -1), (1, 0), (1, 1), (0, 0))
 
 
 def swap_label(label: tuple[int, int]) -> tuple[int, int]:
@@ -191,22 +196,15 @@ def transported_basis(j: int, m: int, r: SpherePoint | np.ndarray) -> np.ndarray
     return transported_component_vector(theta, phi) @ block_matrix(m).T
 
 
-def _product_frame_maps() -> tuple[np.ndarray, np.ndarray]:
-    """(L, S) with U(r)|M> = L u0(r) + S for the product labels, u0 the k=0 block column.
-
-    The product labels lie in span{|1 m>, |00>}, where U(r)|1 m> = B_m u0(r)
-    and U(r)|00> = |00>; the Clebsch-Gordan coefficients <1 m|M>, <00|M> are real.
-    """
-    pm = np.column_stack([product_vector(lbl) for lbl in PRODUCT_LABELS])
-    s = singlet_vector()
-    lift = sum(
-        block_matrix(m).real[:, :, None] * (total_spin_vector(1, m).conj() @ pm).real
-        for m in TRIPLET_MS
-    )
-    return lift, np.outer(s, s.conj() @ pm).real
-
-
-_FRAME_LIFT, _FRAME_SINGLET = _product_frame_maps()
+#: The real Clebsch-Gordan table <j m|M>: rows in TOTAL_LABELS, columns in PRODUCT_LABELS order.
+CLEBSCH_GORDAN = (
+    np.column_stack([total_spin_vector(j, m) for j, m in TOTAL_LABELS]).conj().T
+    @ np.column_stack([product_vector(lbl) for lbl in PRODUCT_LABELS])
+).real
+# U(r)|M> = _FRAME_LIFT u0(r) + _FRAME_SINGLET, u0 the k=0 block column: the product labels lie
+# in span{|1 m>, |00>}, where U(r)|1 m> = B_m u0(r) and U(r)|00> = |00>.
+_FRAME_LIFT = sum(block_matrix(m).real[:, :, None] * w for m, w in zip(TRIPLET_MS, CLEBSCH_GORDAN))
+_FRAME_SINGLET = np.outer(singlet_vector().real, CLEBSCH_GORDAN[3])
 
 
 def moved_product_frames(theta, phi, block_fn: BlockFn | None = None) -> np.ndarray:
@@ -259,8 +257,9 @@ def br_parallel_residual(
     Zero analytically for the moved basis (the basis is parallel); the
     numerical value decays as O(h^2) down to the rounding floor.
     """
-    if not 1e-7 <= h <= 1e-3:
-        raise GeometryError("finite-difference step must lie in [1e-7, 1e-3]")
+    lo, hi = FD_STEP_RANGE
+    if not lo <= h <= hi:
+        raise GeometryError(f"finite-difference step must lie in [{lo:.0e}, {hi:.0e}]")
     ts = np.linspace(0.0, 1.0, 64)
     frames = []
     for dt in (-h, 0.0, h):
@@ -305,52 +304,39 @@ class TwoSpinWaveFunction:
     basis: str = "product"
 
     def __post_init__(self):
-        if self.basis == "product":
-            expected = set(PRODUCT_LABELS)
-        elif self.basis == "total":
-            expected = {(1, -1), (1, 0), (1, 1), (0, 0)}
-        else:
+        if self.basis not in ("product", "total"):
             raise GeometryError("basis must be 'product' or 'total'")
+        expected = set(_labels(self.basis))
         if set(self.coefficients) != expected:
             raise GeometryError(f"coefficient labels must be exactly {sorted(expected)}")
 
     def to_product(self) -> "TwoSpinWaveFunction":
         """Pointwise unitary change of labels (Clebsch-Gordan)."""
-        if self.basis == "product":
-            return self
-        c = self.coefficients
-        inv = 1.0 / SQRT2
-        return TwoSpinWaveFunction(
-            {
-                (1, 1): c[(1, 1)],
-                (-1, -1): c[(1, -1)],
-                (1, -1): inv * c[(1, 0)] + inv * c[(0, 0)],
-                (-1, 1): inv * c[(1, 0)] + (-inv) * c[(0, 0)],
-            },
-            "product",
-        )
+        return self._relabel("product", CLEBSCH_GORDAN.T)
 
     def to_total(self) -> "TwoSpinWaveFunction":
-        if self.basis == "total":
+        return self._relabel("total", CLEBSCH_GORDAN)
+
+    def _relabel(self, basis: str, table: np.ndarray) -> "TwoSpinWaveFunction":
+        """psi_new = sum_old table[new, old] psi_old; a weight of 1 passes the field through."""
+        if basis == self.basis:
             return self
-        c = self.coefficients
-        inv = 1.0 / SQRT2
-        return TwoSpinWaveFunction(
-            {
-                (1, 1): c[(1, 1)],
-                (1, -1): c[(-1, -1)],
-                (1, 0): inv * c[(1, -1)] + inv * c[(-1, 1)],
-                (0, 0): inv * c[(1, -1)] + (-inv) * c[(-1, 1)],
-            },
-            "total",
-        )
+        old = [self.coefficients[lbl] for lbl in _labels(self.basis)]
+        new = {}
+        for lbl, row in zip(_labels(basis), table.tolist()):
+            terms = [c if w == 1.0 else w * c for w, c in zip(row, old) if w]
+            new[lbl] = functools.reduce(operator.add, terms)
+        return TwoSpinWaveFunction(new, basis)
+
+
+def _labels(basis: str) -> tuple[tuple[int, int], ...]:
+    return PRODUCT_LABELS if basis == "product" else TOTAL_LABELS
 
 
 def zero_wavefunction(basis: str = "product") -> TwoSpinWaveFunction:
     from .section_algebra import zero_field
 
-    labels = PRODUCT_LABELS if basis == "product" else ((1, -1), (1, 0), (1, 1), (0, 0))
-    return TwoSpinWaveFunction({lbl: zero_field() for lbl in labels}, basis)
+    return TwoSpinWaveFunction({lbl: zero_field() for lbl in _labels(basis)}, basis)
 
 
 def _coefficients_and_state(

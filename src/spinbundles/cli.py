@@ -12,6 +12,7 @@ Exit codes: 0 success / all checks pass, 1 check failures, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -32,6 +33,7 @@ from .experiments import (
 from .line_bundle import ChiVariant
 from .section_algebra import polynomial_field
 from .transport import (
+    DEFAULT_STEPS,
     antipodal_arc,
     grassmann_field,
     great_circle,
@@ -73,9 +75,10 @@ def parse_polynomial(text: str):
     return polynomial_field(terms, name=text.strip())
 
 
-def _add_sampling(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--samples", type=int, default=2048, help="sample points (default 2048)")
+def _add_option(p: argparse.ArgumentParser, flag: str, help: str) -> None:
+    """An option with the type and default of the SuiteConfig field of the same name."""
+    default = getattr(SuiteConfig(), flag[2:].replace("-", "_"))
+    p.add_argument(flag, type=type(default), default=default, help=f"{help} (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,16 +90,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run the full verification suite")
-    _add_sampling(p_verify)
-    p_verify.add_argument(
-        "--ode-steps", type=int, default=4096, help="transport steps (default 4096)"
-    )
-    p_verify.add_argument(
-        "--fd-step", type=float, default=1e-5, help="finite-difference step (default 1e-5)"
-    )
-    p_verify.add_argument("--tol-algebraic", type=float, default=1e-12)
-    p_verify.add_argument("--tol-functional", type=float, default=1e-10)
-    p_verify.add_argument("--tol-holonomy", type=float, default=1e-6)
+    _add_option(p_verify, "--seed", "random seed")
+    _add_option(p_verify, "--samples", "sample points")
+    _add_option(p_verify, "--ode-steps", "transport steps")
+    _add_option(p_verify, "--fd-step", "finite-difference step")
+    _add_option(p_verify, "--tol-algebraic", "tolerance of algebraic identities")
+    _add_option(p_verify, "--tol-functional", "tolerance of sampled identities")
+    _add_option(p_verify, "--tol-holonomy", "tolerance of holonomies")
     p_verify.add_argument(
         "--fault-inject",
         metavar="CHECK_ID",
@@ -115,7 +115,9 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="antipodal | small-circle:<radius> | great-circle",
     )
-    p_hol.add_argument("--steps", type=int, default=4096, help="transport steps (default 4096)")
+    p_hol.add_argument(
+        "--steps", type=int, default=DEFAULT_STEPS, help="transport steps (default %(default)s)"
+    )
 
     p_ex = sub.add_parser("exchange", help="exchange block and residuals at a direction")
     p_ex.add_argument("--at", required=True, metavar="THETA,PHI", help="angles in radians")
@@ -133,8 +135,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="POLY",
         help="coefficient polynomial, e.g. 'x3' or '2*x1^2*x3 - x2'",
     )
-    _add_sampling(p_exp)
-    p_exp.add_argument("--tol-functional", type=float, default=1e-10)
+    _add_option(p_exp, "--seed", "random seed")
+    _add_option(p_exp, "--samples", "sample points")
+    _add_option(p_exp, "--tol-functional", "tolerance of sampled identities")
 
     for p in (p_verify, p_hol, p_ex, p_exp):
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -159,18 +162,8 @@ def _print_report_text(report: VerificationReport, out) -> None:
 
 
 def _cmd_verify(args) -> int:
-    config = SuiteConfig(
-        seed=args.seed,
-        samples=args.samples,
-        ode_steps=args.ode_steps,
-        fd_step=args.fd_step,
-        tol_algebraic=args.tol_algebraic,
-        tol_functional=args.tol_functional,
-        tol_holonomy=args.tol_holonomy,
-        output=args.format,
-        fault_inject=args.fault_inject,
-    )
-    report = run_suite(config)
+    names = [f.name for f in dataclasses.fields(SuiteConfig) if f.name != "output"]
+    report = run_suite(SuiteConfig(output=args.format, **{n: getattr(args, n) for n in names}))
     if args.format == "json":
         sys.stdout.write(report.to_json())
     else:

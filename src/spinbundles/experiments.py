@@ -11,7 +11,9 @@ identity check and returns a structured, deterministic report.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -49,8 +51,12 @@ def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
         raise ConfigError("samples must be at least 64")
     if samples > MAX_SAMPLES:
         raise ConfigError(f"samples must be at most {MAX_SAMPLES}")
-    if tol_functional <= 0:
-        raise ConfigError("tol_functional must be positive")
+    _check_tolerance("tol_functional", tol_functional)
+
+
+def _check_tolerance(name: str, tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ConfigError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -59,7 +65,7 @@ class SuiteConfig:
 
     seed: int = 0
     samples: int = 2048
-    ode_steps: int = 4096
+    ode_steps: int = tp.DEFAULT_STEPS
     fd_step: float = 1e-5
     tol_algebraic: float = 1e-12
     tol_functional: float = 1e-10
@@ -69,18 +75,18 @@ class SuiteConfig:
 
     def validate(self) -> None:
         _check_sampling(self.seed, self.samples, self.tol_functional)
-        if self.ode_steps < 16:
-            raise ConfigError("ode_steps must be at least 16")
+        if self.ode_steps < tp.MIN_STEPS:
+            raise ConfigError(f"ode_steps must be at least {tp.MIN_STEPS}")
         if self.ode_steps > tp.MAX_STEPS:
             raise ConfigError(f"ode_steps must be at most {tp.MAX_STEPS}")
-        if not 1e-7 <= self.fd_step <= 1e-3:
-            raise ConfigError("fd_step must lie in [1e-7, 1e-3]")
-        for name in ("tol_algebraic", "tol_holonomy"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        lo, hi = br.FD_STEP_RANGE
+        if not lo <= self.fd_step <= hi:
+            raise ConfigError(f"fd_step must lie in [{lo:.0e}, {hi:.0e}]")
+        _check_tolerance("tol_algebraic", self.tol_algebraic)
+        _check_tolerance("tol_holonomy", self.tol_holonomy)
         if self.output not in ("text", "json"):
             raise ConfigError("output format must be 'text' or 'json'")
-        if self.fault_inject is not None and fault_kind(self.fault_inject) is None:
+        if self.fault_inject is not None and self.fault_inject not in FAULT_TARGETS:
             raise ConfigError(
                 f"no fault is wired to check {self.fault_inject!r}; "
                 f"supported targets: {sorted(FAULT_TARGETS)}"
@@ -111,14 +117,8 @@ FAULT_TARGETS = {
 }
 
 
-def fault_kind(check_id: str | None) -> str | None:
-    if check_id is None:
-        return None
-    return FAULT_TARGETS.get(check_id)
-
-
 def checks_hit_by_fault(check_id: str) -> tuple[str, ...]:
-    kind = fault_kind(check_id)
+    kind = FAULT_TARGETS.get(check_id)
     return tuple(cid for cid, k in FAULT_TARGETS.items() if k == kind)
 
 
@@ -254,7 +254,7 @@ def five_step_experiment(
     source: SectionXi,
     chi_variant: ChiVariant,
     points: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = sa.FUNCTIONAL_TOL,
 ) -> FiveStepReport:
     """Run the five-step gauge comparison for a downstairs section.
 
@@ -310,7 +310,7 @@ def five_step_from_coefficient(
     a: ScalarField,
     chi_variant: ChiVariant,
     points: np.ndarray,
-    tol: float = 1e-10,
+    tol: float = sa.FUNCTIONAL_TOL,
 ) -> FiveStepReport:
     """Five-step run from a raw coefficient function.
 
@@ -321,10 +321,8 @@ def five_step_from_coefficient(
     Either way the source gauge is the odd linear one.
     """
     xs = np.asarray(points, dtype=float)
-    grid = sa.validation_grid()
-    _, odd_defect = a.parity_defects(grid)
-    scale = max(1.0, float(np.abs(a(grid)).max()))
-    if odd_defect <= 1e-10 * scale:
+    _, odd = sa.sampled_parity(a, "odd")
+    if odd:
         source = section_from_odd(replace(a, parity="odd"))
         return five_step_experiment(source, chi_variant, xs, tol)
 
@@ -357,7 +355,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         # violation falls short of the required detection level.
         return max(0.0, required - float(measured))
 
-    fault = fault_kind(config.fault_inject)
+    fault = FAULT_TARGETS.get(config.fault_inject)
     block_fn = br.perturbed_block() if fault == "exchange-block" else None
 
     xs = sample_sphere(config.samples, rng)
@@ -397,25 +395,22 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     for v in xs[:128]:
         q = project(SpherePoint.from_vec(v))
         inside = ATLAS.charts_containing(q)
+        direct = {b_idx: chart_map(b_idx, q) for b_idx in inside}
         for a_idx in inside:
-            back = chart_inverse(a_idx, chart_map(a_idx, q))
+            back = chart_inverse(a_idx, direct[a_idx])
             for b_idx in inside:
-                direct = chart_map(b_idx, q)
                 again = chart_map(b_idx, back)
-                worst = max(worst, abs(direct[0] - again[0]), abs(direct[1] - again[1]))
+                u, w = direct[b_idx]
+                worst = max(worst, abs(u - again[0]), abs(w - again[1]))
     record("charts.transition-geometry", "h_b . h_a^{-1} maps h_a([x]) to h_b([x])", worst, tol_f)
 
     cocycle_defect = 0
     for v in xs[:512]:
         q = project(SpherePoint.from_vec(v))
         inside = ATLAS.charts_containing(q)
-        for a_idx in inside:
-            for b_idx in inside:
-                for c_idx in inside:
-                    g1 = lb.transition(a_idx, b_idx, q)
-                    g2 = lb.transition(b_idx, c_idx, q)
-                    g3 = lb.transition(a_idx, c_idx, q)
-                    cocycle_defect = max(cocycle_defect, abs(g1 * g2 - g3))
+        sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
+        for a, b, c in itertools.product(inside, repeat=3):
+            cocycle_defect = max(cocycle_defect, abs(sign[a, b] * sign[b, c] - sign[a, c]))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
 
     # -- projector fields ------------------------------------------------------

@@ -62,12 +62,6 @@ class ScalarField:
         ev = self.evaluator
         return ScalarField(lambda xs: ev(-np.asarray(xs)), self.parity, f"{self.name}(-x)")
 
-    def parity_defects(self, xs: np.ndarray) -> tuple[float, float]:
-        """(sup |a(x)-a(-x)|, sup |a(x)+a(-x)|) over the sample."""
-        v = self(xs)
-        w = self(-np.asarray(xs))
-        return float(np.abs(v - w).max()), float(np.abs(v + w).max())
-
     def __add__(self, other: "ScalarField") -> "ScalarField":
         e1, e2 = self.evaluator, other.evaluator
         return ScalarField(
@@ -219,17 +213,26 @@ def validation_grid() -> np.ndarray:
     return xs
 
 
+def sampled_parity(a: ScalarField, parity: str) -> tuple[float, bool]:
+    """The sampled test of parity on validation_grid(): (defect, passed).
+
+    The defect is sup |a(x) -+ a(-x)|, and it passes when it is at most
+    FUNCTIONAL_TOL * max(1, sup |a(x)|).
+    """
+    xs = validation_grid()
+    v, w = a(xs), a(-xs)
+    defect = float(np.abs(v + w if parity == "odd" else v - w).max())
+    return defect, defect <= FUNCTIONAL_TOL * max(1.0, float(np.abs(v).max()))
+
+
 def _require_parity(a: ScalarField, parity: str, what: str) -> None:
     if a.parity == parity:
         return
     opposite = "odd" if parity == "even" else "even"
     if a.parity == opposite:
         raise ParityError(f"{what} must be {parity}, got a declared-{opposite} field {a.name!r}")
-    xs = validation_grid()
-    even_defect, odd_defect = a.parity_defects(xs)
-    defect = odd_defect if parity == "odd" else even_defect
-    scale = max(1.0, float(np.abs(a(xs)).max()))
-    if defect > FUNCTIONAL_TOL * scale:
+    defect, passed = sampled_parity(a, parity)
+    if not passed:
         raise ParityError(f"{what} must be {parity}; sampled defect {defect:.3e}")
 
 

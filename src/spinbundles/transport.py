@@ -24,7 +24,7 @@ import numpy as np
 from .config_space import SpherePoint
 from .errors import FiberMembershipError, GeometryError
 from .kernels import rk4_transport_path
-from .line_bundle import ChiVariant, chi_matrix
+from .line_bundle import FIBER_RTOL, ChiVariant, chi_matrix
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
@@ -96,19 +96,21 @@ def _circle(c, cr: float, sr: float, a, b, span: float, closure: Closure, name: 
     return Curve(pos, vel, closure, name)
 
 
-def great_circle(u, w, name: str = "great-circle") -> Curve:
+def great_circle(u, w) -> Curve:
     """Full great circle through u and (the component of) w, closed on the sphere."""
     u, w = _frame(u, w)
-    return _circle(np.zeros(3), 0.0, 1.0, u, w, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, name)
+    return _circle(
+        np.zeros(3), 0.0, 1.0, u, w, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, "great-circle"
+    )
 
 
-def antipodal_arc(u, w, name: str = "antipodal-arc") -> Curve:
+def antipodal_arc(u, w) -> Curve:
     """Half great circle from u to -u passing through w at the midpoint."""
     u, w = _frame(u, w)
-    return _circle(np.zeros(3), 0.0, 1.0, u, w, np.pi, Closure.ANTIPODAL, name)
+    return _circle(np.zeros(3), 0.0, 1.0, u, w, np.pi, Closure.ANTIPODAL, "antipodal-arc")
 
 
-def small_circle(center, angular_radius: float, name: str | None = None) -> Curve:
+def small_circle(center, angular_radius: float) -> Curve:
     """Circle of the given angular radius around a center direction; contractible."""
     c = center.vec if isinstance(center, SpherePoint) else np.asarray(center, dtype=float)
     c = c / np.linalg.norm(c)
@@ -119,7 +121,7 @@ def small_circle(center, angular_radius: float, name: str | None = None) -> Curv
     a /= np.linalg.norm(a)
     b = np.cross(c, a)
     cr, sr = np.cos(angular_radius), np.sin(angular_radius)
-    name = name or f"small-circle({angular_radius:g})"
+    name = f"small-circle({angular_radius:g})"
     return _circle(c, cr, sr, a, b, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, name)
 
 
@@ -151,7 +153,7 @@ def restrict(c: Curve, t0: float, t1: float) -> Curve:
     return Curve(pos, vel, Closure.OPEN, f"{c.name}[{t0:g},{t1:g}]")
 
 
-def reparametrize(c: Curve, warp, warp_rate, name: str | None = None) -> Curve:
+def reparametrize(c: Curve, warp, warp_rate) -> Curve:
     """Precompose the curve with a time warp [0,1] -> [0,1] (same image, new speed).
 
     warp_rate is the warp's derivative; the velocity follows by the chain rule.
@@ -162,7 +164,7 @@ def reparametrize(c: Curve, warp, warp_rate, name: str | None = None) -> Curve:
         t = np.asarray(t, dtype=float)
         return warp_rate(t)[..., None] * c.velocity(warp(t))
 
-    return Curve(pos, vel, c.closure, name or f"warped[{c.name}]")
+    return Curve(pos, vel, c.closure, f"warped[{c.name}]")
 
 
 @dataclass(frozen=True)
@@ -256,7 +258,7 @@ def parallel_transport(
     v0 = np.asarray(v0, dtype=complex)
     p0 = field.evaluate(curve(0.0))
     defect = np.linalg.norm(v0 - p0 @ v0)
-    if defect > 1e-10 * max(np.linalg.norm(v0), 1e-300):
+    if defect > FIBER_RTOL * max(np.linalg.norm(v0), 1e-300):
         raise FiberMembershipError(
             f"start vector is not in the fiber (residual {defect:.3e})"
         )

@@ -240,11 +240,11 @@ def test_criterion_09_five_step_experiment():
     )
 
 
-def test_criterion_10_fault_injection():
+def test_criterion_10_fault_injection(cached_suite):
     config = dict(samples=256, ode_steps=256)
-    clean = run_suite(SuiteConfig(**config))
-    u_fault = run_suite(SuiteConfig(fault_inject="exchange.unitarity", **config))
-    parity_fault = run_suite(SuiteConfig(fault_inject="sections.invariance", **config))
+    clean = cached_suite(**config)
+    u_fault = cached_suite(fault_inject="exchange.unitarity", **config)
+    parity_fault = cached_suite(fault_inject="sections.invariance", **config)
     u_failed = {c.check_id for c in u_fault.failed()}
     parity_failed = {c.check_id for c in parity_fault.failed()}
     ok = (

@@ -9,6 +9,7 @@ from spinbundles.config_space import SpherePoint, angles_of, antipode_angles
 from spinbundles.errors import GeometryError
 from spinbundles.line_bundle import ChiVariant, projector_minus
 from spinbundles.berry_robbins import (
+    CLEBSCH_GORDAN,
     DIMENSION,
     PRODUCT_LABELS,
     TRIPLET_KS,
@@ -74,6 +75,9 @@ def test_clebsch_gordan_labels_are_unitary_and_match_oscillator_slots():
     assert np.abs(p.conj().T @ p - np.eye(4)).max() < 1e-12
     # |++>, |-->, |+->, |-+> sit on e1..e4 exactly
     assert np.abs(p - np.eye(DIMENSION)[:, :4]).max() < 1e-12
+    # the one table every change of labels reads is orthogonal
+    assert np.abs(CLEBSCH_GORDAN @ CLEBSCH_GORDAN.T - np.eye(4)).max() < 1e-15
+    assert np.abs(CLEBSCH_GORDAN.T @ CLEBSCH_GORDAN - np.eye(4)).max() < 1e-15
 
 
 def test_swap_label():
@@ -411,7 +415,7 @@ def test_clebsch_gordan_round_trip(points):
     psi = TwoSpinWaveFunction(raw, "product")
     back = psi.to_total().to_product()
     for lbl in PRODUCT_LABELS:
-        assert np.abs(back.coefficients[lbl](points[:64]) - raw[lbl](points[:64])).max() < 1e-12
+        assert np.abs(back.coefficients[lbl](points[:64]) - raw[lbl](points[:64])).max() < 1e-15
     # assembling in either labeling gives the same state
     a = assemble_values(psi, points[:64])
     b = assemble_values(psi.to_total(), points[:64])

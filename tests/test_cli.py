@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from spinbundles.cli import main, parse_polynomial
+from spinbundles.cli import build_parser, main, parse_polynomial
+from spinbundles.experiments import SuiteConfig
+from spinbundles.transport import DEFAULT_STEPS
 
 FAST = ["--samples", "128", "--ode-steps", "128"]
 
@@ -30,6 +32,22 @@ def test_parse_polynomial_rejects_garbage():
         parse_polynomial("x1^9")
     with pytest.raises(ValueError):
         parse_polynomial("2**x1")
+
+
+def test_parser_defaults_come_from_suite_config():
+    defaults = SuiteConfig()
+    parser = build_parser()
+    verify = parser.parse_args(["verify"])
+    names = ("seed", "samples", "ode_steps", "fd_step", "tol_algebraic", "tol_functional", "tol_holonomy")
+    for name in names:
+        assert getattr(verify, name) == getattr(defaults, name)
+    assert verify.fault_inject == defaults.fault_inject
+    assert verify.format == defaults.output
+    experiment = parser.parse_args(["experiment", "--field", "x3"])
+    for name in ("seed", "samples", "tol_functional"):
+        assert getattr(experiment, name) == getattr(defaults, name)
+    holonomy = parser.parse_args(["holonomy", "--bundle", "xi-minus", "--loop", "antipodal"])
+    assert holonomy.steps == DEFAULT_STEPS
 
 
 def test_verify_json_exit_zero(capsys):
@@ -225,6 +243,19 @@ def test_usage_errors_exit_two(capsys):
         (["exchange", "--at", "0.3,0.2", "--ode-steps", "8"], "unrecognized arguments"),
         (["exchange", "--at", "0.3,0.2", "--tol-algebraic", "1e-40"], "unrecognized arguments"),
         (["experiment", "--field", "x3", "--ode-steps", "64"], "unrecognized arguments"),
+        # a tolerance must be finite as well as positive
+        *(
+            (["verify", flag, bad], f"{flag[2:].replace('-', '_')} must be positive and finite")
+            for flag in ("--tol-algebraic", "--tol-functional", "--tol-holonomy")
+            for bad in ("nan", "inf")
+        ),
+        *(
+            (
+                ["experiment", "--field", "x3", "--tol-functional", bad],
+                "tol_functional must be positive and finite",
+            )
+            for bad in ("nan", "inf")
+        ),
     ):
         with pytest.raises(SystemExit) as err:
             main(argv)

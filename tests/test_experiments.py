@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from spinbundles.errors import ConfigError
+from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles.section_algebra import coordinate_field, polynomial_field, section_from_odd
 from spinbundles.experiments import (
@@ -21,9 +21,65 @@ from spinbundles.experiments import (
 SMALL = dict(samples=256, ode_steps=256)
 
 
-@pytest.fixture(scope="module")
-def small_report():
-    return run_suite(SuiteConfig(**SMALL))
+CHECK_IDS = [
+    "base.antipode-free",
+    "base.project-antipode",
+    "charts.partition-unity",
+    "charts.cover",
+    "charts.transition-geometry",
+    "charts.cocycle",
+    "bundle.projector-algebra",
+    "bundle.projector-trace",
+    "bundle.projector-even",
+    "bundle.action-involution",
+    "bundle.tilde-equals-minus",
+    "sections.roundtrip-odd",
+    "sections.roundtrip-coefficients",
+    "sections.projector-fixed",
+    "sections.parity-idempotent",
+    "sections.invariance",
+    "sections.invariance-detects",
+    "sections.singlevalued-odd-gauge",
+    "sections.antisinglevalued-even-gauge",
+    "holonomy.antipodal-nontrivial",
+    "holonomy.contractible",
+    "holonomy.trivial-bundle",
+    "holonomy.gauge-agreement",
+    "holonomy.squared-antipodal",
+    "holonomy.reversal",
+    "holonomy.order4-convergence",
+    "transport.norm-preservation",
+    "transport.fiber-retention",
+    "transport.linearity",
+    "exchange.unitarity",
+    "exchange.determinant",
+    "exchange.identity-at-zero",
+    "exchange.singlet-fixed",
+    "exchange.block-embedding",
+    "exchange.rule",
+    "exchange.rule-total-basis",
+    "exchange.moved-orthonormal",
+    "exchange.antipodal-sign",
+    "br.parallel-residual",
+    "br.parallel-order2",
+    "br.transport-crosscheck",
+    "br.pm-construction",
+    "br.pm-even",
+    "br.pm-matches-gauge-projector",
+    "br.holonomy-decomposition",
+    "spin.relation-consistency",
+    "spin.relation-detects-violation",
+    "experiment.odd-gauge",
+    "experiment.even-gauge",
+    "experiment.verdict-pairing",
+    "experiment.step4-intertwine",
+    "experiment.invariance-needs-odd",
+]
+
+
+@pytest.fixture
+def small_report(cached_suite):
+    return cached_suite(**SMALL)
 
 
 def test_config_validation():
@@ -95,6 +151,22 @@ def test_five_step_report_serializable(points):
     assert "verdict" in json.loads(payload)
 
 
+@pytest.mark.parametrize("eps, is_section", [(0.25e-10, True), (1e-10, False)])
+def test_sampled_parity_edge_agrees(points, eps, is_section):
+    # x3 + eps has an odd defect 2 eps against the scale 1 + eps, so the
+    # two offsets sit on either side of the FUNCTIONAL_TOL edge; the section
+    # constructor and the five-step experiment apply the same test.
+    a = polynomial_field([(1.0, (0, 0, 1)), (eps, (0, 0, 0))])
+    assert a.parity is None
+    report = five_step_from_coefficient(a, ChiVariant.ODD_LINEAR, points=points[:64])
+    assert ("note" not in report.step1) is is_section
+    if is_section:
+        section_from_odd(a)
+    else:
+        with pytest.raises(ParityError):
+            section_from_odd(a)
+
+
 def test_gauge_intertwine_residual_all_pairs(points):
     lams = points[:, 0] + 1j * points[:, 1] + 0.2
     for src in (ChiVariant.ODD_LINEAR, ChiVariant.ODD_HARMONIC):
@@ -107,6 +179,10 @@ def test_suite_all_pass(small_report):
     assert len(small_report.checks) >= 40
     ids = [c.check_id for c in small_report.checks]
     assert len(ids) == len(set(ids))
+
+
+def test_suite_check_ids_in_report_order(small_report):
+    assert [c.check_id for c in small_report.checks] == CHECK_IDS
 
 
 def test_suite_deterministic():
@@ -137,8 +213,8 @@ def test_fault_targets_cover_both_kinds():
 
 
 @pytest.mark.parametrize("target", sorted(FAULT_TARGETS))
-def test_fault_injection_fails_exactly_its_family(target):
-    report = run_suite(SuiteConfig(fault_inject=target, **SMALL))
+def test_fault_injection_fails_exactly_its_family(cached_suite, target):
+    report = cached_suite(fault_inject=target, **SMALL)
     failed = {c.check_id for c in report.failed()}
     assert failed == set(checks_hit_by_fault(target))
     assert not report.all_pass
