@@ -53,13 +53,16 @@ from .section_algebra import (
     SectionXi,
     constant_field,
     coordinate_field,
+    evaluate_fields,
     g_action_on_section,
     invariance_residual,
     odd_from_section,
     parity_decompose,
+    polynomial_family,
     polynomial_field,
     pullback_T,
     random_polynomial,
+    random_polynomial_families,
     section_from_odd,
     singlevaluedness_residuals,
 )

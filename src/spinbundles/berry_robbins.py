@@ -22,7 +22,7 @@ import numpy as np
 from .config_space import SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
 from .line_bundle import ChiVariant, chi_matrix
-from .section_algebra import ScalarField
+from .section_algebra import ScalarField, evaluate_fields
 from .transport import Curve, ProjectorField, constant_projector_field, linear_line_field
 
 DIMENSION = 10
@@ -339,18 +339,18 @@ def zero_wavefunction(basis: str = "product") -> TwoSpinWaveFunction:
     return TwoSpinWaveFunction({lbl: zero_field() for lbl in _labels(basis)}, basis)
 
 
-def _coefficients_and_state(
-    psi: TwoSpinWaveFunction, xs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product-label coefficients (..., 4) of psi at xs, and the state they assemble, (..., 10)."""
+def _state(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The state sum_M coeffs_M |M(r)> over xs, (..., 10), from product-label coefficients (..., 4)."""
     theta, phi = angles_of(xs)
-    coeffs = np.stack([psi.coefficients[lbl](xs) for lbl in PRODUCT_LABELS], axis=-1)
-    return coeffs, np.einsum("...ia,...a->...i", moved_product_frames(theta, phi), coeffs)
+    return np.einsum("...ia,...a->...i", moved_product_frames(theta, phi), coeffs)
 
 
 def assemble_values(psi: TwoSpinWaveFunction, xs: np.ndarray) -> np.ndarray:
     """The full state sum_M psi_M(r) |M(r)> over an (..., 3) sample, (..., 10)."""
-    return _coefficients_and_state(psi.to_product(), np.asarray(xs, dtype=float))[1]
+    psi = psi.to_product()
+    xs = np.asarray(xs, dtype=float)
+    values = evaluate_fields([psi.coefficients[lbl] for lbl in PRODUCT_LABELS], xs)
+    return _state(xs, np.stack(values, axis=-1))
 
 
 def assemble_wavefunction(psi: TwoSpinWaveFunction, r: SpherePoint) -> np.ndarray:
@@ -359,8 +359,10 @@ def assemble_wavefunction(psi: TwoSpinWaveFunction, r: SpherePoint) -> np.ndarra
 
 @dataclass(frozen=True)
 class SpinStatisticsReport:
-    singlevalued_residual: float
-    coefficient_relation_residual: float
+    """Sup residuals over the sample; arrays with one entry per member for a family."""
+
+    singlevalued_residual: float | np.ndarray
+    coefficient_relation_residual: float | np.ndarray
 
 
 def antisymmetrize(family: dict) -> dict:
@@ -377,13 +379,22 @@ def spin_statistics_check(psi: TwoSpinWaveFunction, points: np.ndarray) -> SpinS
     """Residuals of (a) |Psi(-r)> = |Psi(r)> and (b) psi_swap(M)(-r) = -psi_M(r).
 
     Given the exchange rule for the moved basis the two identities are
-    equivalent, so the residuals vanish together.  Each coefficient is
-    evaluated once at r and once at -r.
+    equivalent, so the residuals vanish together.  The coefficients at r and
+    at -r come from one evaluation pass.  The sup runs over the sample
+    only, so a family of wave functions gets one residual per member.
     """
     psi = psi.to_product()
     xs = np.asarray(points, dtype=float)
-    coeffs_here, here = _coefficients_and_state(psi, xs)
-    coeffs_there, there = _coefficients_and_state(psi, -xs)
-    singlevalued = float(np.linalg.norm(there - here, axis=-1).max())
-    relation = float(np.abs(coeffs_there[..., _SWAP_COLUMNS] + coeffs_here).max())
-    return SpinStatisticsReport(singlevalued, relation)
+    fields = [psi.coefficients[lbl] for lbl in PRODUCT_LABELS]
+    values = evaluate_fields(fields + [f.reflect() for f in fields], xs)
+    coeffs_here = np.stack(values[:4], axis=-1)
+    coeffs_there = np.stack(values[4:], axis=-1)
+    gap = np.linalg.norm(_state(-xs, coeffs_there) - _state(xs, coeffs_here), axis=-1)
+    relation = np.abs(coeffs_there[..., _SWAP_COLUMNS] + coeffs_here)
+    return SpinStatisticsReport(_sup(gap, xs.ndim - 1), _sup(relation, xs.ndim))
+
+
+def _sup(values: np.ndarray, axes: int) -> float | np.ndarray:
+    """Max over the trailing `axes` axes; a float when no member axis remains."""
+    top = np.max(values, axis=tuple(range(-axes, 0)))
+    return float(top) if np.ndim(top) == 0 else top

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,6 +34,7 @@ from .section_algebra import (
     parity_decompose,
     pullback_T,
     random_polynomial,
+    random_polynomial_families,
     section_from_odd,
     singlevaluedness_residuals,
 )
@@ -93,17 +94,12 @@ class SuiteConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "seed": int(self.seed),
-            "samples": int(self.samples),
-            "ode_steps": int(self.ode_steps),
-            "fd_step": float(self.fd_step),
-            "tol_algebraic": float(self.tol_algebraic),
-            "tol_functional": float(self.tol_functional),
-            "tol_holonomy": float(self.tol_holonomy),
-            "output": self.output,
-            "fault_inject": self.fault_inject,
-        }
+        """Every field in declaration order; numbers as the plain int or float of their default."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = type(f.default)(value) if isinstance(f.default, (int, float)) else value
+        return out
 
 
 #: Which checks a given fault id knocks out, and the kind of sabotage applied.
@@ -457,25 +453,22 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     )
 
     # -- section algebra -------------------------------------------------------
-    worst = 0.0
-    for _ in range(100):
-        a = random_polynomial(rng, 5, "odd")
-        f = section_from_odd(a)
-        a_back = sa.odd_from_section(f)
-        worst = max(worst, float(np.abs(a(xs) - a_back(xs)).max()))
+    # Each random-polynomial check runs on one family: the coefficients of
+    # every member come from one draw, in the order of one-by-one draws, and
+    # the sup over the family is the max over its members.
+    (a,) = random_polynomial_families(rng, 100, 1, 5, "odd")
+    a_back = sa.odd_from_section(section_from_odd(a))
+    worst = float(np.abs((a - a_back)(xs)).max())
     record("sections.roundtrip-odd", "a -> f_a = x_a a -> sum_a x_a f_a = a", worst, tol_a)
 
-    worst = 0.0
-    proj_worst = 0.0
-    for _ in range(20):
-        gs = [random_polynomial(rng, 4, "even") for _ in range(3)]
-        f = sa.project_to_section(gs[0], gs[1], gs[2])
-        proj_worst = max(proj_worst, f.projector_residual(xs))
-        f_back = section_from_odd(sa.odd_from_section(f))
-        diff = f_back.coefficient_values(xs) - f.coefficient_values(xs)
-        worst = max(worst, float(np.abs(diff).max()))
-    record("sections.roundtrip-coefficients", "f -> a -> f on projector-fixed triples", worst, tol_a)
-    record("sections.projector-fixed", "p f = f for section coefficients", proj_worst, tol_f)
+    f = sa.project_to_section(*random_polynomial_families(rng, 20, 3, 4, "even"))
+    f_back = section_from_odd(sa.odd_from_section(f))
+    coeffs = np.stack(sa.evaluate_fields(f.fields + f_back.fields, xs), axis=-1)  # f, then f_back
+    diff = np.abs(coeffs[..., 3:] - coeffs[..., :3]).max()
+    record("sections.roundtrip-coefficients", "f -> a -> f on projector-fixed triples", diff, tol_a)
+    proj = sa.projector_defect(xs, coeffs[..., :3])
+    record("sections.projector-fixed", "p f = f for section coefficients", proj, tol_f)
+    del coeffs  # 20 members x samples x 6; not kept through the checks below
 
     a_mixed = random_polynomial(rng, 5, None)
     a_even, a_odd = parity_decompose(a_mixed)
@@ -774,25 +767,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     )
 
     # -- the relation between the coefficients and single-valuedness -------------
-    worst_ok = 0.0
-    for _ in range(25):
-        raw = {lbl: random_polynomial(rng, 3, None) for lbl in br.PRODUCT_LABELS}
-        psi = br.TwoSpinWaveFunction(br.antisymmetrize(raw), "product")
-        rep = br.spin_statistics_check(psi, xs[:512])
-        worst_ok = max(worst_ok, rep.singlevalued_residual, rep.coefficient_relation_residual)
+    raw = dict(zip(br.PRODUCT_LABELS, random_polynomial_families(rng, 25, 4, 3, None)))
+    psi = br.TwoSpinWaveFunction(br.antisymmetrize(raw), "product")
+    rep = br.spin_statistics_check(psi, xs[:512])
     record(
         "spin.relation-consistency",
         "psi_swap(M)(-r) = -psi_M(r) and |Psi(-r)> = |Psi(r)> hold together",
-        worst_ok,
+        max(rep.singlevalued_residual.max(), rep.coefficient_relation_residual.max()),
         tol_f,
     )
 
-    weakest = np.inf
-    for _ in range(25):
-        raw = {lbl: random_polynomial(rng, 3, None) for lbl in br.PRODUCT_LABELS}
-        psi = br.TwoSpinWaveFunction(raw, "product")
-        rep = br.spin_statistics_check(psi, xs[:512])
-        weakest = min(weakest, rep.singlevalued_residual, rep.coefficient_relation_residual)
+    raw = dict(zip(br.PRODUCT_LABELS, random_polynomial_families(rng, 25, 4, 3, None)))
+    rep = br.spin_statistics_check(br.TwoSpinWaveFunction(raw, "product"), xs[:512])
+    weakest = min(rep.singlevalued_residual.min(), rep.coefficient_relation_residual.min())
     record(
         "spin.relation-detects-violation",
         "generic coefficients violate both identities at once",

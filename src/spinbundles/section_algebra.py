@@ -13,9 +13,11 @@ parity instead.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -44,7 +46,11 @@ class ScalarField:
     """A complex-valued function on S2 given by a vectorized evaluator.
 
     The evaluator maps an (..., 3) array of unit vectors to complex values of
-    shape (...).  Fields are immutable; arithmetic builds new closures.
+    shape (...), or (k, ...) for a family of k fields (see
+    polynomial_family).  Fields are immutable.  The operators build composite
+    fields whose evaluator keeps the operation and the operand fields as
+    data, so one call walks the expression once and evaluates each leaf at
+    most once at x and once at -x (see evaluate_fields).
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
@@ -53,19 +59,18 @@ class ScalarField:
 
     def __call__(self, x):
         if isinstance(x, SpherePoint):
-            return complex(self.evaluator(x.vec[None, :])[0])
+            v = np.asarray(self.evaluator(x.vec[None, :]))[..., 0]
+            return complex(v) if v.ndim == 0 else v
         xs = np.asarray(x, dtype=float)
         return np.asarray(self.evaluator(xs))
 
     def reflect(self) -> "ScalarField":
         """The field x -> a(-x)."""
-        ev = self.evaluator
-        return ScalarField(lambda xs: ev(-np.asarray(xs)), self.parity, f"{self.name}(-x)")
+        return ScalarField(_Expression(None, (self,)), self.parity, f"{self.name}(-x)")
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
-        e1, e2 = self.evaluator, other.evaluator
         return ScalarField(
-            lambda xs: e1(xs) + e2(xs),
+            _Expression(operator.add, (self, other)),
             _combine_parity(self.parity, other.parity, "add"),
             f"({self.name}+{other.name})",
         )
@@ -74,22 +79,74 @@ class ScalarField:
         return self + (-other)
 
     def __neg__(self) -> "ScalarField":
-        ev = self.evaluator
-        return ScalarField(lambda xs: -ev(xs), self.parity, f"-{self.name}")
+        return ScalarField(_Expression(operator.neg, (self,)), self.parity, f"-{self.name}")
 
     def __mul__(self, other):
         if isinstance(other, ScalarField):
-            e1, e2 = self.evaluator, other.evaluator
             return ScalarField(
-                lambda xs: e1(xs) * e2(xs),
+                _Expression(operator.mul, (self, other)),
                 _combine_parity(self.parity, other.parity, "mul"),
                 f"{self.name}*{other.name}",
             )
-        c = complex(other)
-        ev = self.evaluator
-        return ScalarField(lambda xs: c * ev(xs), self.parity, f"{other}*{self.name}")
+        scale = functools.partial(operator.mul, complex(other))
+        return ScalarField(_Expression(scale, (self,)), self.parity, f"{other}*{self.name}")
 
     __rmul__ = __mul__
+
+
+@dataclass(frozen=True, eq=False)
+class _Expression:
+    """The evaluator of a composite field: combine(*operand values), or with
+    combine None the single operand at -x (reflect)."""
+
+    combine: Callable | None
+    operands: tuple[ScalarField, ...]
+
+    def __call__(self, xs):
+        return _expression_values([self], np.asarray(xs, dtype=float))[0]
+
+
+def _expression_values(evaluators, xs: np.ndarray) -> list:
+    """Values of several evaluators at xs in one walk of their expressions.
+
+    Values are keyed by evaluator and by the sign of the point set, which
+    reflect flips, so every leaf runs at most once at xs and once at -xs.
+    A first walk counts the readers of each value, and the second drops a
+    value once its last reader has it.
+    """
+    readers = collections.Counter()
+    pending = [(ev, 1) for ev in evaluators]
+    while pending:
+        ev, sign = pending.pop()
+        readers[id(ev), sign] += 1
+        if readers[id(ev), sign] == 1 and isinstance(ev, _Expression):
+            inner = -sign if ev.combine is None else sign
+            pending.extend((f.evaluator, inner) for f in ev.operands)
+    points, memo = {1: xs}, {}
+    return [_value(ev, 1, points, memo, readers) for ev in evaluators]
+
+
+def _value(ev, sign: int, points: dict, memo: dict, readers: collections.Counter):
+    key = (id(ev), sign)
+    if key not in memo:
+        if not isinstance(ev, _Expression):
+            if sign not in points:
+                points[sign] = -points[1]
+            memo[key] = ev(points[sign])
+        elif ev.combine is None:
+            memo[key] = _value(ev.operands[0].evaluator, -sign, points, memo, readers)
+        else:
+            memo[key] = ev.combine(
+                *(_value(f.evaluator, sign, points, memo, readers) for f in ev.operands)
+            )
+    readers[key] -= 1
+    return memo[key] if readers[key] else memo.pop(key)
+
+
+def evaluate_fields(fields, xs) -> list[np.ndarray]:
+    """The values of several fields at an (..., 3) array, sharing one evaluation pass."""
+    xs = np.asarray(xs, dtype=float)
+    return [np.asarray(v) for v in _expression_values([f.evaluator for f in fields], xs)]
 
 
 def constant_field(c, name: str | None = None) -> ScalarField:
@@ -99,8 +156,9 @@ def constant_field(c, name: str | None = None) -> ScalarField:
     return ScalarField(lambda xs: np.full(np.asarray(xs).shape[:-1], c), "even", name)
 
 
+@functools.cache
 def coordinate_field(i: int) -> ScalarField:
-    """The odd coordinate function x_i (i in {1, 2, 3})."""
+    """The odd coordinate function x_i (i in {1, 2, 3}); one shared field per index."""
     if i not in (1, 2, 3):
         raise GeometryError("coordinate index must be 1, 2 or 3")
     return ScalarField(lambda xs: np.asarray(xs)[..., i - 1] + 0j, "odd", f"x{i}")
@@ -110,47 +168,90 @@ def zero_field() -> ScalarField:
     return constant_field(0.0, "0")
 
 
-def polynomial_field(terms, name: str | None = None) -> ScalarField:
-    """Polynomial in (x1, x2, x3): terms is a list of (coeff, (i, j, k)).
+@dataclass(frozen=True, eq=False)
+class _Polynomial:
+    """The evaluator of sum_m c_m x^e_m: exponents (M, 3), coefficients (M,) or (k, M).
 
-    Parity is declared when every monomial has the same total-degree parity
-    (on the unit sphere the antipode flips a monomial by (-1)^degree).
     Evaluation builds one table of coordinate powers by repeated
-    multiplication and accumulates real and imaginary parts per term; since
-    negation is exact, a pure-parity polynomial obeys p(-x) = +-p(x) bit for
-    bit.
+    multiplication and accumulates real and imaginary parts per term, for
+    all k members at once; every member sees the IEEE operations of its own
+    single polynomial, in the same order.  Since negation is exact, a
+    pure-parity polynomial obeys p(-x) = +-p(x) bit for bit.
     """
-    terms = [(complex(c), (int(e[0]), int(e[1]), int(e[2]))) for c, e in terms]
-    top = [max((e[a] for _, e in terms), default=0) for a in range(3)]
-    degrees = {sum(e) % 2 for c, e in terms if c != 0}
-    parity = None
-    if len(degrees) == 0:
-        parity = "even"  # zero polynomial
-    elif degrees == {0}:
-        parity = "even"
-    elif degrees == {1}:
-        parity = "odd"
 
-    def ev(xs: np.ndarray) -> np.ndarray:
+    exponents: np.ndarray
+    coefficients: np.ndarray
+
+    @functools.cached_property
+    def _terms(self) -> list:
+        """(exponents, Re c, Im c) per term: floats for one polynomial, (k, 1)
+        columns for a family, None for a part that is zero in every member."""
+
+        def part(c):
+            return None if not c.any() else c[:, None] if c.ndim else float(c)
+
+        return [
+            (exps, part(c.real), part(c.imag))
+            for exps, c in zip(self.exponents.tolist(), self.coefficients.T)
+        ]
+
+    def __call__(self, xs):
         xs = np.asarray(xs, dtype=float)
-        powers = []  # powers[a][d] = x_a^d for 1 <= d <= top[a]
-        for a in range(3):
-            row = [None, xs[..., a]]
-            while len(row) <= top[a]:
-                row.append(row[-1] * xs[..., a])
+        flat = xs.reshape(-1, 3)  # the samples on one axis, after the member axis
+        powers = []  # powers[a][d] = x_a^d for 1 <= d <= the top exponent of x_a
+        for a, top in enumerate(self.exponents.max(axis=0, initial=0).tolist()):
+            row = [None, flat[:, a]]
+            while len(row) <= top:
+                row.append(row[-1] * flat[:, a])
             powers.append(row)
-        re = np.zeros(xs.shape[:-1])
-        im = np.zeros(xs.shape[:-1])
-        for c, exps in terms:
+        shape = self.coefficients.shape[:-1] + flat.shape[:1]
+        re = np.zeros(shape)
+        im = np.zeros(shape)
+        for exps, c_re, c_im in self._terms:
             factors = [powers[a][d] for a, d in enumerate(exps) if d]
             mono = functools.reduce(np.multiply, factors) if factors else 1.0
-            if c.real:
-                re += c.real * mono
-            if c.imag:
-                im += c.imag * mono
-        return re + 1j * im
+            if c_re is not None:
+                re += c_re * mono
+            if c_im is not None:
+                im += c_im * mono
+        return (re + 1j * im).reshape(self.coefficients.shape[:-1] + xs.shape[:-1])
 
-    return ScalarField(ev, parity, name or _polynomial_name(terms))
+
+def _polynomial(coefficients, exponents, name: str) -> ScalarField:
+    """A polynomial field, or a family for 2-D coefficients; parity comes from the exponents.
+
+    Parity is declared when every monomial with a nonzero coefficient (in
+    any member) has the same total-degree parity: on the unit sphere the
+    antipode flips a monomial by (-1)^degree.
+    """
+    exponents = np.asarray(exponents, dtype=int).reshape(-1, 3)
+    coefficients = np.asarray(coefficients, dtype=complex)
+    live = np.any(coefficients != 0, axis=tuple(range(coefficients.ndim - 1)))
+    degrees = set((exponents[live].sum(axis=1) % 2).tolist())
+    parity = "even" if degrees <= {0} else "odd" if degrees == {1} else None  # zero: even
+    return ScalarField(_Polynomial(exponents, coefficients), parity, name)
+
+
+def polynomial_field(terms, name: str | None = None) -> ScalarField:
+    """Polynomial in (x1, x2, x3): terms is a list of (coeff, (i, j, k))."""
+    terms = [(complex(c), (int(e[0]), int(e[1]), int(e[2]))) for c, e in terms]
+    return _polynomial(
+        [c for c, _ in terms], [e for _, e in terms], name or _polynomial_name(terms)
+    )
+
+
+def polynomial_family(coefficients, exponents, name: str = "polynomial family") -> ScalarField:
+    """k polynomials sharing one exponent table: coefficients (k, M), exponents (M, 3).
+
+    Values carry a leading member axis of length k, and every operator and
+    section function broadcasts over it; member i is bit-identical to
+    polynomial_field(zip(coefficients[i], exponents)).
+    """
+    coefficients = np.asarray(coefficients)
+    exponents = np.asarray(exponents, dtype=int).reshape(-1, 3)
+    if coefficients.ndim != 2 or coefficients.shape[1] != len(exponents):
+        raise GeometryError("family coefficients must be (members, terms), one term per exponent row")
+    return _polynomial(coefficients, exponents, name)
 
 
 def _polynomial_name(terms) -> str:
@@ -187,6 +288,21 @@ def random_polynomial(rng, max_degree: int = 5, parity: str | None = None) -> Sc
     return polynomial_field(list(zip(coeffs, exps)), name=f"poly<=deg{max_degree}:{parity or 'mixed'}")
 
 
+def random_polynomial_families(
+    rng, members: int, count: int, max_degree: int = 5, parity: str | None = None
+) -> list[ScalarField]:
+    """count families of members random polynomials each, drawn in one call.
+
+    The draw consumes the stream exactly as members rounds of count
+    random_polynomial calls: member i of family j is the j-th polynomial of
+    round i, bit for bit.
+    """
+    exps = list(_monomials(max_degree, parity))
+    coeffs = rng.standard_normal((members, count, len(exps)))
+    name = f"poly<=deg{max_degree}:{parity or 'mixed'}"
+    return [polynomial_family(coeffs[:, j], exps, name) for j in range(count)]
+
+
 def parity_decompose(a: ScalarField) -> tuple[ScalarField, ScalarField]:
     """Split a into its even and odd parts, a±(x) = (a(x) ± a(-x)) / 2.
 
@@ -217,12 +333,13 @@ def sampled_parity(a: ScalarField, parity: str) -> tuple[float, bool]:
     """The sampled test of parity on validation_grid(): (defect, passed).
 
     The defect is sup |a(x) -+ a(-x)|, and it passes when it is at most
-    FUNCTIONAL_TOL * max(1, sup |a(x)|).
+    FUNCTIONAL_TOL * max(1, sup |a(x)|).  A family passes when every member
+    does against its own scale; the defect returned is the largest.
     """
-    xs = validation_grid()
-    v, w = a(xs), a(-xs)
-    defect = float(np.abs(v + w if parity == "odd" else v - w).max())
-    return defect, defect <= FUNCTIONAL_TOL * max(1.0, float(np.abs(v).max()))
+    v, w = evaluate_fields([a, a.reflect()], validation_grid())
+    defect = np.abs(v + w if parity == "odd" else v - w).max(axis=-1)
+    bound = FUNCTIONAL_TOL * np.maximum(1.0, np.abs(v).max(axis=-1))
+    return float(defect.max()), bool(np.all(defect <= bound))
 
 
 def _require_parity(a: ScalarField, parity: str, what: str) -> None:
@@ -261,25 +378,26 @@ class SectionXi:
         return (self.f1, self.f2, self.f3)
 
     def coefficient_values(self, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.stack([f(xs) for f in self.fields], axis=-1)
+        """The triple (f1, f2, f3) at xs, (..., 3), from one evaluation pass."""
+        return np.stack(evaluate_fields(self.fields, xs), axis=-1)
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Fiber vectors sum_a f_a(x) e_a(x), shape (..., 3)."""
         xs = np.asarray(xs, dtype=float)
         chiv = chi_values(self.variant, xs)
-        out = np.zeros(chiv.shape, dtype=complex)
-        for a, f in enumerate(self.fields):
-            out += (f(xs) * xs[..., a])[..., None] * chiv
-        return out
+        coeffs = evaluate_fields(self.fields, xs)
+        return sum((f * xs[..., a])[..., None] * chiv for a, f in enumerate(coeffs))
 
     def projector_residual(self, xs: np.ndarray) -> float:
         """sup-norm of (p f - f) over the sample; zero for genuine sections."""
         xs = np.asarray(xs, dtype=float)
-        coeffs = self.coefficient_values(xs)
-        a_vals = np.einsum("...a,...a->...", xs, coeffs)
-        pf = xs * a_vals[..., None]
-        return float(np.linalg.norm(pf - coeffs, axis=-1).max())
+        return projector_defect(xs, self.coefficient_values(xs))
+
+
+def projector_defect(xs: np.ndarray, coeffs: np.ndarray) -> float:
+    """sup-norm of (p f - f) for coefficient values (..., 3) at the points xs."""
+    a_vals = np.einsum("...a,...a->...", xs, coeffs)
+    return float(np.linalg.norm(xs * a_vals[..., None] - coeffs, axis=-1).max())
 
 
 def zero_section(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> SectionXi:

@@ -482,3 +482,23 @@ def test_residuals_vanish_together(points, rng):
             rep.singlevalued_residual > 1e-3 and rep.coefficient_relation_residual > 1e-3
         )
         assert both_small if comply else both_large
+
+
+def test_spin_statistics_family_reports_each_member(points):
+    from spinbundles.section_algebra import random_polynomial, random_polynomial_families
+
+    families = dict(zip(PRODUCT_LABELS, random_polynomial_families(np.random.default_rng(5), 6, 4, 3)))
+    sequential = np.random.default_rng(5)
+    members = [{lbl: random_polynomial(sequential, 3) for lbl in PRODUCT_LABELS} for _ in range(6)]
+    for xs in (points[:128], points[:10].reshape(2, 5, 3)):
+        for prepare in (antisymmetrize, dict):
+            rep = spin_statistics_check(TwoSpinWaveFunction(prepare(families)), xs)
+            states = assemble_values(TwoSpinWaveFunction(prepare(families)), xs)
+            assert rep.singlevalued_residual.shape == rep.coefficient_relation_residual.shape == (6,)
+            assert states.shape == (6,) + xs.shape[:-1] + (DIMENSION,)
+            for i, raw in enumerate(members):
+                psi = TwoSpinWaveFunction(prepare(raw))
+                assert spin_statistics_check(psi, xs) == SpinStatisticsReport(
+                    rep.singlevalued_residual[i], rep.coefficient_relation_residual[i]
+                )
+                assert np.array_equal(states[i], assemble_values(psi, xs))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,8 +6,18 @@ import pytest
 
 from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
-from spinbundles.section_algebra import coordinate_field, polynomial_field, section_from_odd
+from spinbundles import berry_robbins as br
+from spinbundles.config_space import sample_sphere
+from spinbundles.section_algebra import (
+    coordinate_field,
+    odd_from_section,
+    polynomial_field,
+    project_to_section,
+    random_polynomial,
+    section_from_odd,
+)
 from spinbundles.experiments import (
+    DETECTION_LEVEL,
     FAULT_TARGETS,
     FiveStepReport,
     SuiteConfig,
@@ -94,6 +105,17 @@ def test_config_validation():
         SuiteConfig(output="xml").validate()
     with pytest.raises(ConfigError):
         SuiteConfig(fault_inject="not-a-check").validate()
+
+
+def test_config_dict_follows_the_dataclass():
+    config = SuiteConfig(seed=np.int64(3), samples=np.int64(512), fd_step=np.float64(2e-5))
+    d = config.to_dict()
+    assert list(d) == [f.name for f in dataclasses.fields(SuiteConfig)]
+    assert [type(d[k]) for k in ("seed", "samples", "ode_steps", "fd_step", "tol_holonomy")] == [
+        int, int, int, float, float
+    ]
+    assert (d["output"], d["fault_inject"]) == ("text", None)
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_five_step_odd_gauge_run(points):
@@ -225,3 +247,50 @@ def test_check_records_have_anchors(small_report):
         assert c.anchor and "§" not in c.anchor
         assert c.tolerance >= 0.0
         assert c.passed == (c.residual <= c.tolerance)
+
+
+def _per_member_loops(seed: int, samples: int) -> dict:
+    """The four random-polynomial checks of run_suite as loops over one
+    polynomial at a time, on the stream run_suite draws them from."""
+    rng = np.random.default_rng(seed)
+    xs = sample_sphere(samples, rng)
+    rng.standard_normal(1000), rng.standard_normal(1000)  # bundle.tilde-equals-minus
+    out = {}
+    worst = 0.0
+    for _ in range(100):
+        a = random_polynomial(rng, 5, "odd")
+        a_back = odd_from_section(section_from_odd(a))
+        worst = max(worst, float(np.abs(a(xs) - a_back(xs)).max()))
+    out["sections.roundtrip-odd"] = worst
+    worst = proj_worst = 0.0
+    for _ in range(20):
+        f = project_to_section(*(random_polynomial(rng, 4, "even") for _ in range(3)))
+        proj_worst = max(proj_worst, f.projector_residual(xs))
+        f_back = section_from_odd(odd_from_section(f))
+        diff = f_back.coefficient_values(xs) - f.coefficient_values(xs)
+        worst = max(worst, float(np.abs(diff).max()))
+    out["sections.roundtrip-coefficients"] = worst
+    out["sections.projector-fixed"] = proj_worst
+    # sections.parity-idempotent, the clean odd coefficient and two contaminations
+    random_polynomial(rng, 5, None), random_polynomial(rng, 5, "odd")
+    random_polynomial(rng, 4, "even"), random_polynomial(rng, 4, "even")
+    worst_ok = 0.0
+    for _ in range(25):
+        raw = {lbl: random_polynomial(rng, 3, None) for lbl in br.PRODUCT_LABELS}
+        rep = br.spin_statistics_check(br.TwoSpinWaveFunction(br.antisymmetrize(raw)), xs[:512])
+        worst_ok = max(worst_ok, rep.singlevalued_residual, rep.coefficient_relation_residual)
+    out["spin.relation-consistency"] = worst_ok
+    weakest = np.inf
+    for _ in range(25):
+        raw = {lbl: random_polynomial(rng, 3, None) for lbl in br.PRODUCT_LABELS}
+        rep = br.spin_statistics_check(br.TwoSpinWaveFunction(raw), xs[:512])
+        weakest = min(weakest, rep.singlevalued_residual, rep.coefficient_relation_residual)
+    out["spin.relation-detects-violation"] = max(0.0, DETECTION_LEVEL - weakest)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_family_checks_match_per_member_loops(cached_suite, seed):
+    residuals = {c.check_id: c.residual for c in cached_suite(seed=seed, **SMALL).checks}
+    for check_id, expected in _per_member_loops(seed, SMALL["samples"]).items():
+        assert residuals[check_id] == expected, check_id

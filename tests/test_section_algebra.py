@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,12 @@ from spinbundles.section_algebra import (
     invariance_residual,
     odd_from_section,
     parity_decompose,
+    polynomial_family,
     polynomial_field,
     project_to_section,
     pullback_T,
     random_polynomial,
+    random_polynomial_families,
     section_from_odd,
     singlevaluedness_residuals,
     validation_grid,
@@ -347,3 +351,101 @@ def test_operator_built_maps_match_reference_closures(seed, kinds, combine):
     evens = [random_polynomial(rng, 4, "even") for _ in range(3)]
     for section in (section_from_odd(odd), project_to_section(*evens)):
         assert_same(odd_from_section(section), _reference_odd_from_section(section))
+
+
+# -- polynomial families and shared evaluation -----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    members=st.integers(1, 4),
+    terms=st.integers(0, 8),
+    complex_coefficients=st.booleans(),
+)
+def test_family_members_match_polynomial_field(seed, members, terms, complex_coefficients):
+    rng = np.random.default_rng(seed)
+    exps = rng.integers(0, 4, size=(terms, 3))  # mixed parity in general
+    coeffs = rng.standard_normal((members, terms))
+    if complex_coefficients:
+        coeffs = coeffs + 1j * rng.standard_normal((members, terms))
+    family = polynomial_family(coeffs, exps)
+    singles = [polynomial_field(list(zip(row, exps))) for row in coeffs]
+    assert family.parity == singles[0].parity
+    xs = sample_sphere(32, rng)
+    point = SpherePoint.from_vec(xs[0])
+    odd_family = parity_decompose(family)[1]
+    odd_singles = [parity_decompose(single)[1] for single in singles]
+    for x in (xs, xs[:10].reshape(2, 5, 3)):
+        values = family(x)
+        assert values.shape == (members,) + x.shape[:-1]
+        composite = (2.0 * family * X1 - family.reflect())(x)
+        sections = section_from_odd(odd_family).values(x)
+        for i, single in enumerate(singles):
+            assert np.array_equal(values[i], single(x))
+            assert np.array_equal(composite[i], (2.0 * single * X1 - single.reflect())(x))
+            assert np.array_equal(sections[i], section_from_odd(odd_singles[i]).values(x))
+    assert np.array_equal(family(point), [single(point) for single in singles])
+
+
+def test_polynomial_family_rejects_malformed_coefficients():
+    exps = [(1, 0, 0), (0, 1, 1)]
+    for coeffs in (np.ones(2), np.ones((3, 3)), np.ones((1, 2, 2))):
+        with pytest.raises(GeometryError):
+            polynomial_family(coeffs, exps)
+
+
+@pytest.mark.parametrize(
+    "members, count, degree, parity",
+    [(100, 1, 5, "odd"), (20, 3, 4, "even"), (25, 4, 3, None), (1, 2, 2, None)],
+)
+def test_family_draw_matches_sequential_draws(members, count, degree, parity, points):
+    drawn = np.random.default_rng(7)
+    families = random_polynomial_families(drawn, members, count, degree, parity)
+    sequential = np.random.default_rng(7)
+    xs = points[:64]
+    family_values = [family(xs) for family in families]
+    for i in range(members):
+        for j in range(count):
+            single = random_polynomial(sequential, degree, parity)
+            assert np.array_equal(family_values[j][i], single(xs))
+            assert (families[j].name, families[j].parity) == (single.name, single.parity)
+    assert drawn.standard_normal() == sequential.standard_normal()
+
+
+def _counted(field):
+    """The field with an evaluator that records each call, and the call list."""
+    calls = []
+
+    def evaluator(xs):
+        calls.append(xs)
+        return field.evaluator(xs)
+
+    return replace(field, evaluator=evaluator), calls
+
+
+def test_round_trip_evaluates_its_odd_function_once(rng, points):
+    a, calls = _counted(random_polynomial(rng, 5, "odd"))
+    back = odd_from_section(section_from_odd(a))
+    calls.clear()
+    values = back(points)
+    assert len(calls) == 1
+    assert np.abs(values - a(points)).max() < 1e-12
+
+
+def test_nested_parity_parts_evaluate_at_most_twice(rng, points):
+    a, calls = _counted(random_polynomial(rng, 5))
+    even, odd = parity_decompose(a)
+    for part in (even, odd, *parity_decompose(even), *parity_decompose(odd)):
+        calls.clear()
+        part(points)
+        assert len(calls) <= 2, part.name
+
+
+def test_coefficient_round_trip_evaluates_each_even_field_once(rng, points):
+    counted = [_counted(random_polynomial(rng, 4, "even")) for _ in range(3)]
+    back = section_from_odd(odd_from_section(project_to_section(*(g for g, _ in counted))))
+    for _, calls in counted:
+        calls.clear()
+    back.coefficient_values(points)
+    assert [len(calls) for _, calls in counted] == [1, 1, 1]
