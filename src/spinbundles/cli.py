@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 
@@ -69,6 +70,8 @@ def parse_polynomial(text: str):
                 coeff *= float(factor)
             except ValueError:
                 raise ValueError(f"cannot parse polynomial factor {factor!r}") from None
+        if not math.isfinite(coeff):
+            raise ValueError(f"polynomial coefficient {coeff} in {body!r} is not finite")
         if sum(exps) > MAX_FIELD_DEGREE:
             raise ValueError(f"polynomial degree {sum(exps)} exceeds {MAX_FIELD_DEGREE}")
         terms.append((coeff, tuple(exps)))
@@ -208,7 +211,7 @@ def _cmd_holonomy(args) -> int:
             "steps": args.steps,
             "holonomy": {"re": h.real, "im": h.imag},
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
     else:
         if abs(h.imag) < 1e-9:
             print(f"{h.real:.6f}")
@@ -223,6 +226,8 @@ def _cmd_exchange(args) -> int:
         theta, phi = float(theta_s), float(phi_s)
     except ValueError:
         raise ValueError(f"--at expects 'theta,phi', got {args.at!r}") from None
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise ValueError(f"--at expects finite angles, got {args.at!r}")
     u = exchange_block(theta, phi)
     unitarity = float(np.abs(u.conj().T @ u - np.eye(3)).max())
     x = SpherePoint.from_angles(theta, phi)
@@ -236,7 +241,7 @@ def _cmd_exchange(args) -> int:
             "unitarity_residual": unitarity,
             "exchange_rule_residual": rule,
         }
-        sys.stdout.write(json.dumps(payload) + "\n")
+        sys.stdout.write(json.dumps(payload, allow_nan=False) + "\n")
         return 0
     print(f"U(theta={theta:.6f}, phi={phi:.6f}) =")
     for row in u:
@@ -256,7 +261,7 @@ def _cmd_experiment(args) -> int:
         coeff, variant, points=points, tol=args.tol_functional
     )
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_dict(), indent=2) + "\n")
+        sys.stdout.write(json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
         return 0
     print(f"five-step experiment, gauge {report.chi_variant}, field {args.field!r}")
     for key in ("step1", "step2", "step3", "step4", "step5"):

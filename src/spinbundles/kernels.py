@@ -1,15 +1,18 @@
-"""Hot numeric kernel: fixed-step RK4 for small dense complex linear ODEs.
+"""Hot numeric kernel: fixed-step RK4 for small complex linear ODEs.
 
 The transport equation dv/dt = A(t) v is integrated with the classical
-4th-order scheme over a precomputed generator grid A sampled at every node
-and midpoint.  For a linear ODE one RK4 step is v -> T_i v, with T_i a
-matrix polynomial in the step's three samples, so the kernel builds every
-increment D_i = T_i - I at once and chains them with a blocked prefix scan:
-about sqrt(steps) steps per block, batched prefix products inside all
-blocks together, then one matrix-vector product per block to carry v
-across blocks.  The prefix products are kept as increments P - I: adding
-the identity into every product would round the small increments against
-1 at each step.  Everything is numpy; there is no compiled backend.
+4th-order scheme.  The generator is given by its rank-2 factors A = F G^H,
+sampled at every node and midpoint, and is never formed as an n x n matrix.
+For a linear ODE one RK4 step is v -> T_i v, with T_i a matrix polynomial in
+the step's three samples; every product of generators in it has a 2x2 core
+G_x^H F_y, so the increment D_i = T_i - I is one n x 6 by 6 x n product
+built from the factors and a handful of per-step scalars.  The kernel builds
+every increment at once and chains them with a blocked prefix scan: about
+sqrt(steps) steps per block, batched prefix products inside all blocks
+together, then one matrix-vector product per block to carry v across
+blocks.  The prefix products are kept as increments P - I: adding the
+identity into every product would round the small increments against 1 at
+each step.  Everything is numpy; there is no compiled backend.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import importlib.util
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 
 def numba_available() -> bool:
@@ -29,14 +33,54 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _step_increments(gen: np.ndarray, h: float) -> np.ndarray:
-    # D_i = T_i - I for every step, from the samples A0, Am, A1 of step i:
-    # k1 = A0 v, k2 = S2 v, k3 = S3 v, k4 = S4 v.
-    a0, am, a1 = gen[0:-1:2], gen[1::2], gen[2::2]
-    s2 = am + (0.5 * h) * (am @ a0)
-    s3 = am + (0.5 * h) * (am @ s2)
-    s4 = a1 + h * (a1 @ s3)
-    return (h / 6.0) * (a0 + 2.0 * s2 + 2.0 * s3 + s4)
+def _windows(a: np.ndarray) -> np.ndarray:
+    # (2*steps + 1, 2, n) -> (steps, 6, n) view: rows a_0, a_m, a_1 of each step.
+    st = a.strides
+    shape = ((a.shape[0] - 1) // 2, 6, a.shape[2])
+    return as_strided(a, shape=shape, strides=(2 * st[0], st[1], st[2]), writeable=False)
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # Per-step 2x2 products of cores laid out as (2, 2, steps, 1).
+    return a[:, 0, None] * b[None, 0] + a[:, 1, None] * b[None, 1]
+
+
+def _rows(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    # The two rows of K G^H per step, from a (2, 2, steps, 1) core and the
+    # (2, steps, n) rows of G^H.
+    return k[:, 0] * g[0] + k[:, 1] * g[1]
+
+
+def _step_increments(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
+    # D_i = T_i - I for every step from the factors A = F G^H at the step's
+    # nodes 0, m, 1.  Each product of generators has a 2x2 core C_xy = G_x^H F_y,
+    # so D = (h/6) [F_0 F_m F_1] K [G_0 G_m G_1]^H with the 6x6 block-triangular
+    #   K = [[I, 0, 0], [K_m0, 4I + h C_mm, 0], [h^3/4 C_1m C_mm C_m0, K_1m, I]],
+    #   K_m0 = h C_m0 + h^2/2 C_mm C_m0,  K_1m = h C_1m + h^2/2 C_1m C_mm.
+    # The core algebra runs on per-step scalar arrays; only the last product
+    # is n x n.
+    ft = np.ascontiguousarray(f.transpose(0, 2, 1))
+    gh = np.conjugate(g.transpose(2, 0, 1), order="C")
+    fw = _windows(ft)
+    g0, gm, g1 = gh[:, 0:-1:2], gh[:, 1::2], gh[:, 2::2]
+    c = np.empty((3, 2, 2, fw.shape[0], 1), dtype=np.complex128)
+    for x, (gx, y) in enumerate(((gm, 0), (gm, 2), (g1, 2))):
+        for i in range(2):
+            for j in range(2):
+                np.einsum("sn,sn->s", gx[i], fw[:, y + j], out=c[x, i, j, :, 0])
+    c_m0, c_mm, c_1m = c
+    c_1mm = _mul(c_1m, c_mm)
+    k_m0 = h * c_m0 + (0.5 * h * h) * _mul(c_mm, c_m0)
+    k_mm = h * c_mm
+    k_mm[0, 0] += 4.0
+    k_mm[1, 1] += 4.0
+    k_1m = h * c_1m + (0.5 * h * h) * c_1mm
+    k_10 = (0.25 * h**3) * _mul(c_1mm, c_m0)
+    right = np.empty((6,) + g0.shape[1:], dtype=np.complex128)
+    right[0:2] = g0
+    right[2:4] = _rows(k_m0, g0) + _rows(k_mm, gm)
+    right[4:6] = _rows(k_10, g0) + _rows(k_1m, gm) + g1
+    return (h / 6.0) * (fw.transpose(0, 2, 1) @ right.transpose(1, 0, 2))
 
 
 def _blocked_scan(d: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -60,17 +104,24 @@ def _blocked_scan(d: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return path.reshape(-1, n)[:steps]
 
 
-def rk4_transport_path(gen: np.ndarray, h: float, v0: np.ndarray) -> np.ndarray:
-    """Integrate dv/dt = A(t) v, returning the (steps + 1, n) node trajectory."""
-    gen = np.ascontiguousarray(gen, dtype=np.complex128)
-    if gen.ndim != 3 or gen.shape[1] != gen.shape[2] or gen.shape[0] % 2 != 1:
-        raise ValueError("generator grid must have shape (2*steps + 1, n, n)")
+def rk4_transport_path(f: np.ndarray, g: np.ndarray, h: float, v0: np.ndarray) -> np.ndarray:
+    """Integrate dv/dt = A(t) v, returning the (steps + 1, n) node trajectory.
+
+    The generator is given by its factors at every node and midpoint:
+    A = f @ g^H with f and g of shape (2*steps + 1, n, 2).
+    """
+    f = np.asarray(f, dtype=np.complex128)
+    g = np.asarray(g, dtype=np.complex128)
+    if f.ndim != 3 or f.shape[2] != 2 or f.shape[0] % 2 != 1:
+        raise ValueError("generator factors must have shape (2*steps + 1, n, 2)")
+    if g.shape != f.shape:
+        raise ValueError("the two generator factors must have the same shape")
     v0 = np.asarray(v0, dtype=np.complex128)
-    if v0.shape != gen.shape[1:2]:
-        raise ValueError("start vector must have shape (n,) for an (n, n) generator")
-    steps = (gen.shape[0] - 1) // 2
-    out = np.empty((steps + 1, gen.shape[1]), dtype=np.complex128)
+    if v0.shape != f.shape[1:2]:
+        raise ValueError("start vector must have shape (n,) for (.., n, 2) factors")
+    steps = (f.shape[0] - 1) // 2
+    out = np.empty((steps + 1, f.shape[1]), dtype=np.complex128)
     out[0] = v0
     if steps:
-        out[1:] = _blocked_scan(_step_increments(gen, float(h)), v0)
+        out[1:] = _blocked_scan(_step_increments(f, g, float(h)), v0)
     return out

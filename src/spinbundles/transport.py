@@ -4,9 +4,11 @@ A line field P = |u><u| on the sphere defines a connection on the line
 sub-bundle it spans (covariant derivative = P d).  Each curve carries its
 position and its analytic velocity, and each field carries its fiber frame
 u(x) and the frame's rate du/dt along a curve.  Transport along a curve
-solves dv/dt = [Pdot, P] v, and the generator is built from the frame as
-|w><u| - |u><w|, with w = du - <u|du> u the horizontal part of du; the
-commutator form keeps v in the moving fiber and, because the generator is
+solves dv/dt = [Pdot, P] v.  The generator is |w><u| - |u><w|, with
+w = du - <u|du> u the horizontal part of du, and it is handed to the RK4
+kernel as its rank-2 frame factors F = [w, -u] and G = [u, w]
+(generator = F G^H); it is never formed as an n x n matrix.  The commutator
+form keeps v in the moving fiber and, because the generator is
 anti-Hermitian, preserves the norm.  For even fields the fiber lines over x
 and -x coincide, so curves that close on the sphere and curves that end at
 the antipode both descend to loops downstairs, and the holonomy is the ratio
@@ -28,7 +30,7 @@ from .line_bundle import FIBER_RTOL, ChiVariant, chi_matrix
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
-MAX_STEPS = 65536  # bounds the generator grid, 2 * steps + 1 matrices
+MAX_STEPS = 65536  # bounds the generator factors, 2 * steps + 1 nodes
 
 ENDPOINT_TOL = 1e-10
 
@@ -227,15 +229,21 @@ def constant_projector_field(p: np.ndarray, name: str = "constant-projector") ->
     return ProjectorField(vector, vector_rate, name)
 
 
-def _generator_grid(field: ProjectorField, curve: Curve, steps: int) -> np.ndarray:
-    # [Pdot, P] = |w><u| - |u><w| with w the horizontal part of du: the
-    # component <u|du> u only turns the frame's phase, not the line.
+def _generator_factors(
+    field: ProjectorField, curve: Curve, steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    # [Pdot, P] = |w><u| - |u><w| = F G^H with F = [w, -u] and G = [u, w],
+    # w the horizontal part of du: the component <u|du> u only turns the
+    # frame's phase, not the line.  Each factor has shape (2*steps + 1, n, 2);
+    # both are views of (.., 2, n) arrays, the layout the kernel reads.
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
     u = field.vector(xs)
     du = field.vector_rate(xs, curve.velocity(ts))
     w = du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
-    return w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
+    f = np.stack([w, -u], axis=-2).swapaxes(-1, -2)
+    g = np.stack([u, w], axis=-2).swapaxes(-1, -2)
+    return f, g
 
 
 def parallel_transport(
@@ -262,8 +270,8 @@ def parallel_transport(
         raise FiberMembershipError(
             f"start vector is not in the fiber (residual {defect:.3e})"
         )
-    gen = _generator_grid(field, curve, steps)
-    path = rk4_transport_path(gen, 1.0 / steps, v0)
+    f, g = _generator_factors(field, curve, steps)
+    path = rk4_transport_path(f, g, 1.0 / steps, v0)
     if return_path:
         return np.linspace(0.0, 1.0, steps + 1), path
     return path[-1]

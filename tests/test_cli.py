@@ -1,10 +1,11 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from spinbundles.cli import build_parser, main, parse_polynomial
-from spinbundles.experiments import SuiteConfig
+from spinbundles.experiments import CheckResult, SuiteConfig, VerificationReport
 from spinbundles.transport import DEFAULT_STEPS
 
 FAST = ["--samples", "128", "--ode-steps", "128"]
@@ -256,9 +257,24 @@ def test_usage_errors_exit_two(capsys):
             )
             for bad in ("nan", "inf")
         ),
+        # non-finite input is refused before anything is computed, so no
+        # numpy warning and no bare NaN in the output
+        *(
+            (["experiment", "--field", field, "--format", "json"], "is not finite")
+            for field in ("nan*x3", "inf*x3", "x1 - 1e309*x2", "1e200*x1*1e200")
+        ),
+        *((["exchange", "--at", at], "--at expects finite angles") for at in ("1,inf", "nan,0.3")),
     ):
-        with pytest.raises(SystemExit) as err:
+        with pytest.raises(SystemExit) as err, warnings.catch_warnings():
+            warnings.simplefilter("error")
             main(argv)
         assert err.value.code == 2
         assert message in capsys.readouterr().err
 
+
+def test_json_writers_refuse_non_finite_numbers():
+    # Strict JSON has no NaN or Infinity: a writer fails rather than emit them.
+    checks = [CheckResult("c", "a", float("nan"), 1.0, False)]
+    report = VerificationReport("s", 0, {}, checks, False, 1.0)
+    with pytest.raises(ValueError):
+        report.to_json()

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from spinbundles import kernels
 
 
-def _sequential_rk4(gen, h, v0):
-    """Reference: one classical RK4 step at a time, as matrix-vector products."""
+def _sequential_rk4(f, g, h, v0):
+    """Reference: one classical RK4 step at a time, as matrix-vector products
+    with the dense generator grid f @ g^H."""
+    gen = f @ g.conj().swapaxes(-1, -2)
     v = np.asarray(v0, dtype=complex).copy()
     steps = (gen.shape[0] - 1) // 2
     out = np.empty((steps + 1, v.shape[0]), dtype=complex)
@@ -25,49 +27,60 @@ def _sequential_rk4(gen, h, v0):
     return out
 
 
-def _random_chain(rng, n, steps, antihermitian=True):
-    a = rng.standard_normal((2 * steps + 1, n, n)) + 1j * rng.standard_normal(
-        (2 * steps + 1, n, n)
-    )
-    return a - a.conj().swapaxes(-1, -2) if antihermitian else a
+def _random_factors(rng, n, steps, antihermitian=True):
+    """Factors of shape (2*steps + 1, n, 2): frame form (w, -u), (u, w), or independent."""
+    shape = (2 * steps + 1, n)
+    u, w, a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4))
+    if antihermitian:
+        return np.stack([w, -u], axis=-1), np.stack([u, w], axis=-1)
+    return np.stack([u, w], axis=-1), np.stack([a, b], axis=-1)
 
 
-def _assert_matches_reference(gen, h, v0):
-    path = kernels.rk4_transport_path(gen, h, v0)
-    reference = _sequential_rk4(gen, h, v0)
+def _assert_matches_reference(f, g, h, v0):
+    path = kernels.rk4_transport_path(f, g, h, v0)
+    reference = _sequential_rk4(f, g, h, v0)
     assert path.shape == reference.shape
     scale = np.maximum(1.0, np.linalg.norm(reference, axis=1))
     assert (np.linalg.norm(path - reference, axis=1) / scale).max() < 1e-13
     return path
 
 
-def test_zero_generator_is_exact_identity():
-    gen = np.zeros((2 * 32 + 1, 3, 3), dtype=complex)
+def test_zero_generator_is_exact_identity(rng):
+    # Frame factors of a line that does not move: w = 0, u arbitrary.
+    u = rng.standard_normal((2 * 32 + 1, 3)) + 1j * rng.standard_normal((2 * 32 + 1, 3))
+    w = np.zeros_like(u)
     v0 = np.array([1.0, 2.0 - 1.0j, 3.0])
-    out = kernels.rk4_transport_path(gen, 1.0 / 32, v0)[-1]
-    assert np.array_equal(out, v0)
+    path = kernels.rk4_transport_path(np.stack([w, -u], -1), np.stack([u, w], -1), 1.0 / 32, v0)
+    assert np.array_equal(path, np.broadcast_to(v0, path.shape))
 
 
 def test_path_shape_and_start():
-    gen = np.zeros((2 * 16 + 1, 2, 2), dtype=complex)
+    f = np.zeros((2 * 16 + 1, 2, 2), dtype=complex)
     v0 = np.array([1.0, 0.0], dtype=complex)
-    path = kernels.rk4_transport_path(gen, 1.0 / 16, v0)
+    path = kernels.rk4_transport_path(f, f, 1.0 / 16, v0)
     assert path.shape == (17, 2)
     assert np.array_equal(path[0], v0)
 
 
 def test_rejects_malformed_grid():
-    with pytest.raises(ValueError):
-        kernels.rk4_transport_path(np.zeros((4, 3, 3), dtype=complex), 0.1, np.zeros(3))
-    with pytest.raises(ValueError):
-        kernels.rk4_transport_path(np.zeros((5, 3, 3), dtype=complex), 0.5, np.zeros(2))
+    good = np.zeros((5, 3, 2), dtype=complex)
+    for f, g, v0 in (
+        (np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), np.zeros(3)),  # even node count
+        (good, np.zeros((7, 3, 2)), np.zeros(3)),  # factors of different shapes
+        (good, np.zeros((5, 4, 2)), np.zeros(3)),
+        (np.zeros((5, 3, 3)), np.zeros((5, 3, 3)), np.zeros(3)),  # last axis not 2
+        (np.zeros((5, 3)), np.zeros((5, 3)), np.zeros(3)),
+        (good, good, np.zeros(2)),  # wrong start length
+    ):
+        with pytest.raises(ValueError):
+            kernels.rk4_transport_path(f, g, 0.5, v0)
 
 
 def test_path_matches_sequential_reference(rng):
     for n, steps in ((4, 50), (3, 4096), (10, 1031)):
-        gen = _random_chain(rng, n, steps)
+        f, g = _random_factors(rng, n, steps)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        _assert_matches_reference(gen, 1.0 / steps, v0)
+        _assert_matches_reference(f, g, 1.0 / steps, v0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -86,27 +99,27 @@ def test_path_matches_sequential_reference(rng):
 def test_blocked_scan_matches_sequential_reference(seed, n, steps, antihermitian):
     # Primes and non-squares leave the last block of the scan padded.
     rng = np.random.default_rng(seed)
-    gen = _random_chain(rng, n, steps, antihermitian)
+    f, g = _random_factors(rng, n, steps, antihermitian)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     h = 1.0 / max(steps, 1)
-    path = _assert_matches_reference(gen, h, v0)
+    path = _assert_matches_reference(f, g, h, v0)
     assert path.shape == (steps + 1, n)
     assert np.array_equal(path[0], v0)
-    flat = kernels.rk4_transport_path(np.zeros_like(gen), h, v0)
+    flat = kernels.rk4_transport_path(np.zeros_like(f), np.zeros_like(g), h, v0)
     assert np.array_equal(flat, np.broadcast_to(v0, flat.shape))
     with pytest.raises(ValueError):
-        kernels.rk4_transport_path(gen, h, np.ones(n + 1))
+        kernels.rk4_transport_path(f, g, h, np.ones(n + 1))
 
 
 def test_norm_preserved_for_smooth_antihermitian_generator(rng):
-    # exact flow is unitary; RK4 drifts only at its truncation order
-    b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    b = b - b.conj().T
-    c = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    c = c - c.conj().T
+    # |w><u| - |u><w| is anti-Hermitian for any u, w: the exact flow is
+    # unitary, and RK4 drifts only at its truncation order.
+    a, b, c, d = (rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4))
     steps = 400
-    ts = np.linspace(0.0, 1.0, 2 * steps + 1)
-    gen = np.sin(2 * np.pi * ts)[:, None, None] * b + np.cos(2 * np.pi * ts)[:, None, None] * c
+    ts = np.linspace(0.0, 1.0, 2 * steps + 1)[:, None]
+    u = np.cos(2 * np.pi * ts) * a + np.sin(2 * np.pi * ts) * b
+    w = np.sin(2 * np.pi * ts) * c + np.cos(4 * np.pi * ts) * d
     v0 = np.array([1.0, 1.0j, -0.5])
-    out = kernels.rk4_transport_path(gen, 1.0 / steps, v0)[-1]
+    f, g = np.stack([w, -u], -1), np.stack([u, w], -1)
+    out = kernels.rk4_transport_path(f, g, 1.0 / steps, v0)[-1]
     assert abs(np.linalg.norm(out) - np.linalg.norm(v0)) < 1e-8

@@ -26,7 +26,7 @@ from spinbundles.transport import (
     reverse,
     small_circle,
 )
-from spinbundles.transport import _frame, _generator_grid
+from spinbundles.transport import _frame, _generator_factors
 
 E1 = SpherePoint(1.0, 0.0, 0.0)
 E2 = SpherePoint(0.0, 1.0, 0.0)
@@ -413,17 +413,34 @@ _POLE_STARTS = [
 
 @pytest.mark.parametrize("field_name", ["odd-harmonic"] + [f"moved-line-{m}" for m in TRIPLET_MS])
 def test_generator_grid_matches_commutator(field_name):
-    # The frame-built generator |w><u| - |u><w| is [Pdot, P] at every node.
+    # The frame factors multiply out to [Pdot, P] at every node:
+    # f @ g^H = |w><u| - |u><w|.
     field, c = _LINEAR_FIELDS[field_name]
     starts = _POLE_STARTS + [(np.array([0.48, 0.6, 0.64]), 1.0)]
     for curve in _rotated_loops(starts):
-        gen = _generator_grid(field, curve, 64)
+        f, g = _generator_factors(field, curve, 64)
+        assert f.shape == g.shape == (129, c.shape[0], 2)
         ts = np.linspace(0.0, 1.0, 129)
         xs, vs = curve.position(ts), curve.velocity(ts)
         u = xs @ c.T
         p = u[..., :, None] * u.conj()[..., None, :]
         pdot = _rate_reference(c, xs, vs)
+        gen = f @ g.conj().swapaxes(-1, -2)
         assert np.abs(gen - (pdot @ p - p @ pdot)).max() < 1e-14
+
+
+def test_constant_field_factors_have_zero_rate():
+    # A constant line does not move: w = 0 exactly, so the generator and every
+    # RK4 increment vanish and the transport returns its start bit for bit.
+    u = np.array([0.6, 0.0, 0.8j])
+    field = constant_projector_field(np.outer(u, u.conj()))
+    curve = great_circle(E1, E2)
+    f, g = _generator_factors(field, curve, 64)
+    assert np.array_equal(f[..., 0], np.zeros((129, 3)))
+    assert np.array_equal(g[..., 1], np.zeros((129, 3)))
+    v0 = field.frame(curve.point(0.0))
+    _, path = parallel_transport(field, curve, v0, 64, return_path=True)
+    assert np.array_equal(path, np.broadcast_to(v0, path.shape))
 
 
 def test_phase_twisted_frame_transports_like_its_line():
