@@ -33,12 +33,17 @@ from .errors import (
     ParityError,
 )
 from .line_bundle import (
+    CHI_HARMONIC,
     ActionLabel,
     ChiVariant,
     GroupAction,
+    ProjectorField,
     chi,
+    constant_projector_field,
     generator_e,
+    grassmann_field,
     group_act,
+    linear_line_field,
     local_trivialization,
     projector_minus,
     tau_minus,
@@ -69,14 +74,10 @@ from .section_algebra import (
 from .transport import (
     Closure,
     Curve,
-    ProjectorField,
     antipodal_arc,
-    constant_projector_field,
     flatness_report,
-    grassmann_field,
     great_circle,
     holonomy,
-    linear_line_field,
     parallel_transport,
     small_circle,
 )

@@ -21,9 +21,9 @@ import numpy as np
 
 from .config_space import SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
-from .line_bundle import ChiVariant, chi_matrix
+from .line_bundle import CHI_HARMONIC, ProjectorField, constant_projector_field, linear_line_field
 from .section_algebra import ScalarField, evaluate_fields
-from .transport import Curve, ProjectorField, constant_projector_field, linear_line_field
+from .transport import Curve
 
 DIMENSION = 10
 SQRT2 = math.sqrt(2.0)
@@ -286,9 +286,7 @@ def exchange_line_field(m: int) -> ProjectorField:
     """The line sub-bundle spanned by |1 m (r)> = -B_m chi_h(x), as a 10x10 projector field."""
     if m not in TRIPLET_MS:
         raise GeometryError(f"m must be one of {TRIPLET_MS}")
-    return linear_line_field(
-        block_matrix(m) @ chi_matrix(ChiVariant.ODD_HARMONIC), f"moved-line[m={m}]"
-    )
+    return linear_line_field(block_matrix(m) @ CHI_HARMONIC, f"moved-line[m={m}]")
 
 
 def singlet_field() -> ProjectorField:

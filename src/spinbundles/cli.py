@@ -31,19 +31,13 @@ from .experiments import (
     five_step_from_coefficient,
     run_suite,
 )
-from .line_bundle import ChiVariant
+from .line_bundle import ChiVariant, constant_projector_field, grassmann_field
 from .section_algebra import polynomial_field
-from .transport import (
-    DEFAULT_STEPS,
-    antipodal_arc,
-    grassmann_field,
-    great_circle,
-    holonomy,
-    small_circle,
-    constant_projector_field,
-)
+from .transport import DEFAULT_STEPS, antipodal_arc, great_circle, holonomy, small_circle
 
 MAX_FIELD_DEGREE = 8
+# Keeps squared sample values, as the residual norms form them, far from overflow.
+MAX_FIELD_COEFFICIENT = 1e100
 
 _TERM_RE = re.compile(r"x([123])(?:\^(\d+))?$")
 
@@ -72,6 +66,10 @@ def parse_polynomial(text: str):
                 raise ValueError(f"cannot parse polynomial factor {factor!r}") from None
         if not math.isfinite(coeff):
             raise ValueError(f"polynomial coefficient {coeff} in {body!r} is not finite")
+        if abs(coeff) > MAX_FIELD_COEFFICIENT:
+            raise ValueError(
+                f"polynomial coefficient {coeff:g} in {body!r} exceeds {MAX_FIELD_COEFFICIENT:g}"
+            )
         if sum(exps) > MAX_FIELD_DEGREE:
             raise ValueError(f"polynomial degree {sum(exps)} exceeds {MAX_FIELD_DEGREE}")
         terms.append((coeff, tuple(exps)))

@@ -123,9 +123,6 @@ class GroupElement:
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return GroupElement(self.sign * other.sign)
 
-    def inverse(self) -> "GroupElement":
-        return self
-
     def apply(self, p: SpherePoint) -> SpherePoint:
         return antipode(p) if self.sign == -1 else p
 

@@ -69,7 +69,7 @@ class SuiteConfig:
     ode_steps: int = tp.DEFAULT_STEPS
     fd_step: float = 1e-5
     tol_algebraic: float = 1e-12
-    tol_functional: float = 1e-10
+    tol_functional: float = sa.FUNCTIONAL_TOL
     tol_holonomy: float = 1e-6
     output: str = "text"
     fault_inject: str | None = None
@@ -528,8 +528,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     e1 = SpherePoint(1.0, 0.0, 0.0)
     e2 = SpherePoint(0.0, 1.0, 0.0)
     e3 = SpherePoint(0.0, 0.0, 1.0)
-    p_lin = tp.grassmann_field(ChiVariant.ODD_LINEAR)
-    p_harm = tp.grassmann_field(ChiVariant.ODD_HARMONIC)
+    p_lin = lb.grassmann_field(ChiVariant.ODD_LINEAR)
+    p_harm = lb.grassmann_field(ChiVariant.ODD_HARMONIC)
     steps = config.ode_steps
 
     arcs = [
@@ -560,7 +560,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     frame = np.array([0.6, 0.48j, 0.64], dtype=complex)
     frame /= np.linalg.norm(frame)
-    trivial = tp.constant_projector_field(np.outer(frame, frame.conj()), "fixed-line")
+    trivial = lb.constant_projector_field(np.outer(frame, frame.conj()), "fixed-line")
     h_triv = tp.holonomy(trivial, arcs[0], steps)
     record("holonomy.trivial-bundle", "constant projector: h = +1 exactly", abs(h_triv - 1.0), 0.0)
 

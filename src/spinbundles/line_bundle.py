@@ -1,21 +1,24 @@
-"""Line bundles over RP2 presented inside a trivial C^3 bundle.
+"""Line fields on the sphere and the line bundles over RP2 they present.
 
-The nontrivial line bundle is realized as the family of complex lines spanned
-by a normalized, nowhere-vanishing map chi: S2 -> C^3 that is odd under the
-antipode; the corresponding rank-1 projector field |chi><chi| is even and
-descends to RP2.  An even chi presents an isomorphic copy of the pulled-back
-bundle in a different gauge.  Transition functions of the affine atlas are the
-signs sign(x_a x_b).
+A ProjectorField is a line field |u(x)><u(x)| given by its fiber frame u(x)
+in C^n and the frame's rate along a curve: the linear frames x -> Cx of an
+n x 3 isometry C, or a constant frame (the trivial bundle).  Each gauge map
+chi: S2 -> C^3 is such a field.  An odd chi spans the nontrivial line bundle
+and its projector |chi><chi| is even, so it descends to RP2; the even chi
+presents an isomorphic copy of the pulled-back bundle in a different gauge.
+fiber_coordinate alone decides fiber membership (z = lambda u(x) to within
+FIBER_RTOL).  Transition functions of the affine atlas are sign(x_a x_b).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .config_space import GroupElement, ProjectivePoint, SpherePoint, chart_contains
+from .config_space import GroupElement, ProjectivePoint, SpherePoint, _check_alpha, chart_contains
 from .errors import BindingError, ChartDomainError, FiberMembershipError, GeometryError, ParityError
 
 # Relative tolerance for deciding that a vector lies in a fiber line.
@@ -23,16 +26,81 @@ FIBER_RTOL = 1e-10
 
 _SQRT2 = np.sqrt(2.0)
 
-# chi maps linear in x are stored as the matrix chi(x) = C @ x.
-_CHI_LINEAR = np.eye(3, dtype=complex)
-_CHI_HARMONIC = np.array(
+#: The harmonic gauge chi_h(x) = C_h x.
+CHI_HARMONIC = np.array(
     [
         [1.0 / _SQRT2, -1.0j / _SQRT2, 0.0],
         [0.0, 0.0, -1.0],
         [-1.0 / _SQRT2, -1.0j / _SQRT2, 0.0],
     ]
 )
-_CHI_CONSTANT = np.array([1.0, 0.0, 0.0], dtype=complex)
+
+
+@dataclass(frozen=True)
+class ProjectorField:
+    """A line field |u(x)><u(x)| on the sphere, given by its fiber frame.
+
+    vector maps (..., 3) unit vectors to unit spanning vectors u of shape
+    (..., n); vector_rate maps a curve's positions and velocity to du/dt.
+    """
+
+    vector: Callable[[np.ndarray], np.ndarray]
+    vector_rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    name: str = "projector-field"
+
+    def evaluate(self, xs) -> np.ndarray:
+        """The projectors |u><u|, shape (..., n, n)."""
+        u = self.vector(xs)
+        return u[..., :, None] * u.conj()[..., None, :]
+
+    def frame(self, x: SpherePoint) -> np.ndarray:
+        """Unit spanning vector of the fiber line at x."""
+        return self.vector(x.vec)
+
+    def fiber_coordinate(self, x: np.ndarray, z: np.ndarray) -> complex:
+        """Extract lambda with z = lambda * u(x) at a unit vector x, rejecting off-line z."""
+        z = np.asarray(z, dtype=complex)
+        u = self.vector(x)
+        lam = complex(np.vdot(u, z))
+        residual = np.linalg.norm(z - lam * u)
+        if residual > FIBER_RTOL * max(np.linalg.norm(z), 1e-300):
+            raise FiberMembershipError(
+                f"vector is not in the fiber line (off-line residual {residual:.3e})"
+            )
+        return lam
+
+
+def linear_line_field(c: np.ndarray, name: str) -> ProjectorField:
+    """The even line field |Cx><Cx| of an n x 3 isometry C; its frame x -> Cx is linear."""
+    c = np.asarray(c, dtype=complex)
+    if c.ndim != 2 or c.shape[1] != 3 or not np.abs(c.conj().T @ c - np.eye(3)).max() <= 1e-12:
+        raise GeometryError("a linear line field needs an n x 3 isometry")
+
+    def vector(xs):
+        return np.asarray(xs, dtype=float) @ c.T
+
+    return ProjectorField(vector, lambda xs, vs: vector(vs), name)
+
+
+def constant_projector_field(p: np.ndarray, name: str = "constant-projector") -> ProjectorField:
+    """The constant line field of a rank-1 projector p: the trivial line bundle."""
+    p = np.asarray(p, dtype=complex)
+    k = int(np.argmax(p.diagonal().real))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = p[:, k] / np.sqrt(p[k, k])
+    # Written so that a NaN frame (p = 0 gives 0/0) fails too.
+    if not np.abs(np.outer(u, u.conj()) - p).max() <= 1e-12:
+        raise GeometryError("a constant line field needs a rank-1 orthogonal projector")
+
+    def vector(xs):
+        out = np.empty(np.asarray(xs).shape[:-1] + u.shape, dtype=complex)
+        out[...] = u
+        return out
+
+    def vector_rate(xs, vs):
+        return np.zeros(np.shape(xs)[:-1] + u.shape, dtype=complex)
+
+    return ProjectorField(vector, vector_rate, name)
 
 
 class ChiVariant(enum.Enum):
@@ -50,48 +118,53 @@ class ChiVariant(enum.Enum):
     def is_odd(self) -> bool:
         return self.parity == "odd"
 
+    @property
+    def field(self) -> ProjectorField:
+        """The line field |chi><chi| whose frame is this gauge map."""
+        return _GAUGE_FIELDS[self]
 
-def chi_matrix(variant: ChiVariant) -> np.ndarray | None:
-    """The matrix C with chi(x) = C x, or None if chi is not linear in x."""
-    if variant is ChiVariant.ODD_LINEAR:
-        return _CHI_LINEAR
-    if variant is ChiVariant.ODD_HARMONIC:
-        return _CHI_HARMONIC
-    return None
+
+_GAUGE_FIELDS = {
+    ChiVariant.ODD_LINEAR: linear_line_field(np.eye(3), "chi[odd-linear]"),
+    ChiVariant.ODD_HARMONIC: linear_line_field(CHI_HARMONIC, "chi[odd-harmonic]"),
+    ChiVariant.EVEN_CONSTANT: constant_projector_field(
+        np.diag([1.0, 0.0, 0.0]), "chi[even-constant]"
+    ),
+}
 
 
 def chi_values(variant: ChiVariant, xs: np.ndarray) -> np.ndarray:
     """Evaluate chi on an (..., 3) array of unit vectors; complex (..., 3)."""
-    xs = np.asarray(xs, dtype=float)
-    if variant is ChiVariant.EVEN_CONSTANT:
-        out = np.empty(xs.shape, dtype=complex)
-        out[...] = _CHI_CONSTANT
-        return out
-    c = chi_matrix(variant)
-    return xs @ c.T
+    return variant.field.vector(xs)
 
 
 def chi(variant: ChiVariant, x: SpherePoint) -> np.ndarray:
     """The gauge vector chi(x) in C^3: normalized and nowhere vanishing."""
-    return chi_values(variant, x.vec)
+    return variant.field.frame(x)
 
 
 def projector_values(variant: ChiVariant, xs: np.ndarray) -> np.ndarray:
     """Rank-1 projector field |chi><chi| on an (..., 3) array; (..., 3, 3)."""
-    v = chi_values(variant, xs)
-    return v[..., :, None] * v.conj()[..., None, :]
+    return variant.field.evaluate(xs)
+
+
+def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
+    """The projector field |chi><chi| of the nontrivial bundle; chi must be odd.
+
+    An odd chi makes the projector even in x and hence a well-defined
+    function on RP2.
+    """
+    if not variant.is_odd:
+        raise ParityError("the nontrivial bundle's projector field needs an odd chi variant")
+    return variant.field
 
 
 def projector_minus(x: SpherePoint, variant: ChiVariant = ChiVariant.ODD_LINEAR) -> np.ndarray:
     """The 3x3 projector |chi(x)><chi(x)| of the nontrivial line bundle.
 
-    Requires an odd chi so that the projector is even in x and hence a
-    well-defined function on RP2.  For the linear gauge the entries are
-    exactly the real products x_a * x_b.
+    For the linear gauge the entries are exactly the real products x_a * x_b.
     """
-    if not variant.is_odd:
-        raise ParityError("projector of the nontrivial bundle needs an odd chi variant")
-    return projector_values(variant, x.vec)
+    return grassmann_field(variant).evaluate(x.vec)
 
 
 def hermiticity_defect(p: np.ndarray) -> float:
@@ -118,15 +191,7 @@ def transition(alpha: int, beta: int, q: ProjectivePoint) -> int:
 
 def fiber_coefficient(variant: ChiVariant, x: SpherePoint, z: np.ndarray) -> complex:
     """Extract lambda with z = lambda * chi(x), rejecting off-line vectors."""
-    z = np.asarray(z, dtype=complex)
-    frame = chi(variant, x)
-    lam = complex(np.vdot(frame, z))
-    residual = np.linalg.norm(z - lam * frame)
-    if residual > FIBER_RTOL * max(np.linalg.norm(z), 1e-300):
-        raise FiberMembershipError(
-            f"vector is not in the fiber line (off-line residual {residual:.3e})"
-        )
-    return lam
+    return variant.field.fiber_coordinate(x.vec, z)
 
 
 def local_trivialization(
@@ -156,8 +221,7 @@ def generator_e(alpha: int, q: ProjectivePoint) -> np.ndarray:
     Each component is even in x, so the value is representative independent;
     the section vanishes exactly where x_a = 0, i.e. outside U_alpha.
     """
-    if alpha not in (1, 2, 3):
-        raise GeometryError(f"chart index must be 1, 2 or 3, got {alpha!r}")
+    _check_alpha(alpha)
     v = q.vec
     return (v[alpha - 1] * v).astype(complex)
 

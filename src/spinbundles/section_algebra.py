@@ -413,8 +413,16 @@ def section_from_odd(a: ScalarField, variant: ChiVariant = ChiVariant.ODD_LINEAR
 
 
 def odd_from_section(f: SectionXi) -> ScalarField:
-    """Recover the odd function a(x) = sum_a x_a f_a(x); inverse of section_from_odd."""
-    residual = f.projector_residual(validation_grid())
+    """Recover the odd function a(x) = sum_a x_a f_a(x); inverse of section_from_odd.
+
+    The projector residual on validation_grid() is measured on the
+    coefficients divided by max(1, sup |f|), the scale sampled_parity uses
+    (per member for a family).
+    """
+    xs = validation_grid()
+    coeffs = f.coefficient_values(xs)
+    scale = np.maximum(1.0, np.abs(coeffs).max(axis=(-2, -1), keepdims=True))
+    residual = projector_defect(xs, coeffs / scale)
     if residual > FUNCTIONAL_TOL:
         raise GeometryError(
             f"coefficients are not projector-fixed (residual {residual:.3e}); not a section"
@@ -451,9 +459,6 @@ class PullbackSection:
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return self.coefficient(xs)[..., None] * chi_values(self.variant, xs)
-
-    def at(self, x: SpherePoint) -> tuple[SpherePoint, np.ndarray]:
-        return x, self.values(x.vec)
 
     def sup_norm(self, xs: np.ndarray) -> float:
         return float(np.linalg.norm(self.values(xs), axis=-1).max())

@@ -1,10 +1,11 @@
 """Parallel transport for projector-valued connections and loop holonomy.
 
-A line field P = |u><u| on the sphere defines a connection on the line
-sub-bundle it spans (covariant derivative = P d).  Each curve carries its
-position and its analytic velocity, and each field carries its fiber frame
-u(x) and the frame's rate du/dt along a curve.  Transport along a curve
-solves dv/dt = [Pdot, P] v.  The generator is |w><u| - |u><w|, with
+A line field P = |u><u| on the sphere (a line_bundle.ProjectorField)
+defines a connection on the line sub-bundle it spans (covariant derivative
+= P d).  Each curve carries its position and its analytic velocity, and each
+field carries its fiber frame u(x) and the frame's rate du/dt along a curve.
+Transport along a curve solves dv/dt = [Pdot, P] v from a start vector that
+the field's fiber_coordinate accepts.  The generator is |w><u| - |u><w|, with
 w = du - <u|du> u the horizontal part of du, and it is handed to the RK4
 kernel as its rank-2 frame factors F = [w, -u] and G = [u, w]
 (generator = F G^H); it is never formed as an n x n matrix.  The commutator
@@ -24,9 +25,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .config_space import SpherePoint
-from .errors import FiberMembershipError, GeometryError
+from .errors import GeometryError
 from .kernels import rk4_transport_path
-from .line_bundle import FIBER_RTOL, ChiVariant, chi_matrix
+from .line_bundle import ProjectorField
+from .line_bundle import constant_projector_field, grassmann_field  # noqa: F401  re-exported
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
@@ -169,66 +171,6 @@ def reparametrize(c: Curve, warp, warp_rate) -> Curve:
     return Curve(pos, vel, c.closure, f"warped[{c.name}]")
 
 
-@dataclass(frozen=True)
-class ProjectorField:
-    """A line field |u(x)><u(x)| on the sphere, given by its fiber frame.
-
-    vector maps (..., 3) unit vectors to unit spanning vectors u of shape
-    (..., n); vector_rate maps a curve's positions and velocity to du/dt.
-    """
-
-    vector: Callable[[np.ndarray], np.ndarray]
-    vector_rate: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    name: str = "projector-field"
-
-    def evaluate(self, xs) -> np.ndarray:
-        """The projectors |u><u|, shape (..., n, n)."""
-        u = self.vector(xs)
-        return u[..., :, None] * u.conj()[..., None, :]
-
-    def frame(self, x: SpherePoint) -> np.ndarray:
-        """Unit spanning vector of the fiber line at x."""
-        return self.vector(x.vec)
-
-
-def linear_line_field(c: np.ndarray, name: str) -> ProjectorField:
-    """The even line field |Cx><Cx| of an n x 3 isometry C; its frame x -> Cx is linear."""
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 3 or not np.abs(c.conj().T @ c - np.eye(3)).max() <= 1e-12:
-        raise GeometryError("a linear line field needs an n x 3 isometry")
-
-    def vector(xs):
-        return np.asarray(xs, dtype=float) @ c.T
-
-    return ProjectorField(vector, lambda xs, vs: vector(vs), name)
-
-
-def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
-    """The projector field |chi><chi| of an odd gauge (chi is linear)."""
-    if not variant.is_odd:
-        raise GeometryError("the nontrivial-bundle field needs an odd chi")
-    return linear_line_field(chi_matrix(variant), f"p-minus[{variant.value}]")
-
-
-def constant_projector_field(p: np.ndarray, name: str = "constant-projector") -> ProjectorField:
-    """The constant line field of a rank-1 projector p: the trivial line bundle."""
-    p = np.asarray(p, dtype=complex)
-    k = int(np.argmax(p.diagonal().real))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        u = p[:, k] / np.sqrt(p[k, k])
-    # Written so that a NaN frame (p = 0 gives 0/0) fails too.
-    if not np.abs(np.outer(u, u.conj()) - p).max() <= 1e-12:
-        raise GeometryError("a constant line field needs a rank-1 orthogonal projector")
-
-    def vector(xs):
-        return np.broadcast_to(u, np.shape(xs)[:-1] + u.shape)
-
-    def vector_rate(xs, vs):
-        return np.zeros(np.shape(xs)[:-1] + u.shape, dtype=complex)
-
-    return ProjectorField(vector, vector_rate, name)
-
-
 def _generator_factors(
     field: ProjectorField, curve: Curve, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -264,12 +206,7 @@ def parallel_transport(
     if steps > MAX_STEPS:
         raise GeometryError(f"steps must be at most {MAX_STEPS}")
     v0 = np.asarray(v0, dtype=complex)
-    p0 = field.evaluate(curve(0.0))
-    defect = np.linalg.norm(v0 - p0 @ v0)
-    if defect > FIBER_RTOL * max(np.linalg.norm(v0), 1e-300):
-        raise FiberMembershipError(
-            f"start vector is not in the fiber (residual {defect:.3e})"
-        )
+    field.fiber_coordinate(curve(0.0), v0)
     f, g = _generator_factors(field, curve, steps)
     path = rk4_transport_path(f, g, 1.0 / steps, v0)
     if return_path:

@@ -9,6 +9,8 @@ import numpy as np
 from spinbundles.config_space import SpherePoint, angles_of, project, sample_sphere
 from spinbundles.line_bundle import (
     ChiVariant,
+    constant_projector_field,
+    grassmann_field,
     hermiticity_defect,
     idempotency_defect,
     projector_minus,
@@ -23,8 +25,6 @@ from spinbundles.section_algebra import (
 )
 from spinbundles.transport import (
     antipodal_arc,
-    constant_projector_field,
-    grassmann_field,
     great_circle,
     holonomy,
     parallel_transport,
@@ -33,12 +33,7 @@ from spinbundles.transport import (
     small_circle,
 )
 from spinbundles import berry_robbins as br
-from spinbundles.experiments import (
-    SuiteConfig,
-    checks_hit_by_fault,
-    five_step_from_coefficient,
-    run_suite,
-)
+from spinbundles.experiments import checks_hit_by_fault, five_step_from_coefficient
 from spinbundles.section_algebra import coordinate_field, polynomial_field
 
 E1 = SpherePoint(1.0, 0.0, 0.0)
@@ -262,8 +257,8 @@ def test_criterion_10_fault_injection(cached_suite):
     )
 
 
-def test_full_suite_green_at_default_scale():
-    report = run_suite(SuiteConfig())
+def test_full_suite_green_at_default_scale(cached_suite):
+    report = cached_suite()
     failed = sorted(c.check_id for c in report.failed())
     print(f"ACCEPTANCE suite: {'PASS' if report.all_pass else 'FAIL'} "
           f"({len(report.checks)} checks, {report.wall_ms:.0f} ms)")

@@ -190,6 +190,25 @@ def test_experiment_json_is_strict_for_even_coefficient(capsys):
     assert payload["steps"]["step1"]["projector_residual"] is None
 
 
+@pytest.mark.parametrize("chi", ["odd-linear", "odd-harmonic", "even-constant"])
+def test_experiment_large_coefficients_keep_the_verdict(capsys, chi):
+    # The section test is relative to the coefficient's size, so a large
+    # multiple of x1 is the same section as x1, with no overflow warning.
+    def verdict(field):
+        code, out, _ = run_cli(
+            capsys, "experiment", "--chi", chi, "--field", field, "--samples", "256",
+            "--format", "json",
+        )
+        assert code == 0
+        return json.loads(out)["verdict"]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = verdict("x1")
+        for field in ("1e6*x1", "1e100*x1", "1e100*x1^3+1e100*x1*x2^2"):
+            assert verdict(field) == expected
+
+
 def test_usage_errors_exit_two(capsys):
     # each usage error with a fragment of its message; experiment checks
     # its sampling options with the same messages as verify
@@ -262,6 +281,11 @@ def test_usage_errors_exit_two(capsys):
         *(
             (["experiment", "--field", field, "--format", "json"], "is not finite")
             for field in ("nan*x3", "inf*x3", "x1 - 1e309*x2", "1e200*x1*1e200")
+        ),
+        # finite but too large to square: refused before anything is computed
+        *(
+            (["experiment", "--field", field, "--format", "json"], "exceeds 1e+100")
+            for field in ("1e150*x1", "1e160*x1", "1e300*x1", "1e60*x1*1e60")
         ),
         *((["exchange", "--at", at], "--at expects finite angles") for at in ("1,inf", "nan,0.3")),
     ):

@@ -6,12 +6,15 @@ import pytest
 from spinbundles.config_space import GroupElement, SpherePoint, project
 from spinbundles.errors import BindingError, ChartDomainError, FiberMembershipError, ParityError
 from spinbundles.line_bundle import (
+    CHI_HARMONIC,
+    FIBER_RTOL,
     ActionLabel,
     ChiVariant,
     chi,
     chi_values,
     fiber_coefficient,
     generator_e,
+    grassmann_field,
     group_act,
     hermiticity_defect,
     idempotency_defect,
@@ -25,6 +28,7 @@ from spinbundles.line_bundle import (
     trace_defect,
     transition,
 )
+from spinbundles.transport import MIN_STEPS, antipodal_arc, parallel_transport
 
 G = GroupElement(-1)
 
@@ -81,6 +85,48 @@ def test_projector_invariants(variant, points):
 def test_projector_rejects_even_gauge():
     with pytest.raises(ParityError):
         projector_minus(SpherePoint(0.0, 0.0, 1.0), ChiVariant.EVEN_CONSTANT)
+    with pytest.raises(ParityError):
+        grassmann_field(ChiVariant.EVEN_CONSTANT)
+
+
+def _written_out_chi(variant, xs):
+    if variant is ChiVariant.EVEN_CONSTANT:
+        return np.tile(np.array([1.0, 0.0, 0.0], dtype=complex), (len(xs), 1))
+    c = np.eye(3, dtype=complex) if variant is ChiVariant.ODD_LINEAR else CHI_HARMONIC
+    return xs @ c.T
+
+
+@pytest.mark.parametrize("variant", list(ChiVariant))
+def test_gauge_fields_match_written_out_formulas(variant, points):
+    v = _written_out_chi(variant, points)
+    assert np.array_equal(chi_values(variant, points), v)
+    outer = v[:, :, None] * v.conj()[:, None, :]
+    assert np.array_equal(projector_values(variant, points), outer)
+    if variant.is_odd:
+        assert np.array_equal(grassmann_field(variant).vector(points), v)
+
+
+@pytest.mark.parametrize("variant", list(ChiVariant))
+@pytest.mark.parametrize("offset, on_line", [(0.5, True), (2.0, False)])
+def test_one_fiber_rule_for_coefficients_and_transport(variant, offset, on_line):
+    # |lam| = 1, so z sits off the line chi(x) by offset * FIBER_RTOL * |z|;
+    # fiber_coefficient and the start check of parallel_transport agree.
+    x = SpherePoint.from_vec(np.array([0.48, 0.6, 0.64]))
+    u = chi(variant, x)
+    e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
+    normal = e3 - np.vdot(u, e3) * u
+    normal /= np.linalg.norm(normal)
+    lam = 0.8 - 0.6j
+    z = lam * u + offset * FIBER_RTOL * normal
+    arc = antipodal_arc(x, SpherePoint(0.0, 0.0, 1.0))
+    if on_line:
+        assert abs(fiber_coefficient(variant, x, z) - lam) < 1e-15
+        parallel_transport(variant.field, arc, z, MIN_STEPS)
+    else:
+        with pytest.raises(FiberMembershipError):
+            fiber_coefficient(variant, x, z)
+        with pytest.raises(FiberMembershipError):
+            parallel_transport(variant.field, arc, z, MIN_STEPS)
 
 
 def test_transition_examples():

@@ -6,20 +6,24 @@ from hypothesis import strategies as st
 from spinbundles.berry_robbins import TRIPLET_MS, block_matrix, exchange_line_field
 from spinbundles.config_space import SpherePoint
 from spinbundles.errors import FiberMembershipError, GeometryError
-from spinbundles.line_bundle import ChiVariant, chi, chi_matrix
+from spinbundles.line_bundle import (
+    CHI_HARMONIC,
+    ChiVariant,
+    ProjectorField,
+    chi,
+    constant_projector_field,
+    grassmann_field,
+    linear_line_field,
+)
 from spinbundles.transport import (
     MAX_STEPS,
     Closure,
     Curve,
-    ProjectorField,
     antipodal_arc,
     constant_curve,
-    constant_projector_field,
     flatness_report,
-    grassmann_field,
     great_circle,
     holonomy,
-    linear_line_field,
     parallel_transport,
     reparametrize,
     restrict,
@@ -37,13 +41,10 @@ P_HARM = grassmann_field(ChiVariant.ODD_HARMONIC)
 
 # Each linear line field |Cx><Cx| with its isometry C.
 _LINEAR_FIELDS = {
-    "odd-linear": (P_LIN, chi_matrix(ChiVariant.ODD_LINEAR)),
-    "odd-harmonic": (P_HARM, chi_matrix(ChiVariant.ODD_HARMONIC)),
+    "odd-linear": (P_LIN, np.eye(3)),
+    "odd-harmonic": (P_HARM, CHI_HARMONIC),
     **{
-        f"moved-line-{m}": (
-            exchange_line_field(m),
-            block_matrix(m) @ chi_matrix(ChiVariant.ODD_HARMONIC),
-        )
+        f"moved-line-{m}": (exchange_line_field(m), block_matrix(m) @ CHI_HARMONIC)
         for m in TRIPLET_MS
     },
 }
