@@ -31,7 +31,7 @@ from .experiments import (
     five_step_from_coefficient,
     run_suite,
 )
-from .line_bundle import ChiVariant, constant_projector_field, grassmann_field
+from .line_bundle import ChiVariant, grassmann_field
 from .section_algebra import polynomial_field
 from .transport import DEFAULT_STEPS, antipodal_arc, great_circle, holonomy, small_circle
 
@@ -47,7 +47,9 @@ def parse_polynomial(text: str):
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty polynomial")
-    pieces = re.split(r"(?<![eE*^+\-])([+-])", "+" + cleaned)
+    if cleaned[0] not in "+-":
+        cleaned = "+" + cleaned
+    pieces = re.split(r"(?<![eE*^+\-])([+-])", cleaned)
     # pieces alternate: '', sign, body, sign, body, ...
     terms = []
     for sign, body in zip(pieces[1::2], pieces[2::2]):
@@ -134,7 +136,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--field",
         required=True,
         metavar="POLY",
-        help="coefficient polynomial, e.g. 'x3' or '2*x1^2*x3 - x2'",
+        help="coefficient polynomial, e.g. 'x3' or '2*x1^2*x3 - x2'; "
+        "write a leading sign as --field=-x1",
     )
     _add_option(p_exp, "--seed", "random seed")
     _add_option(p_exp, "--samples", "sample points")
@@ -187,9 +190,7 @@ def _make_bundle(spec: str):
     if spec == "xi-minus":
         return grassmann_field(ChiVariant.ODD_LINEAR)
     if spec == "xi-plus":
-        line = np.zeros((3, 3), dtype=complex)
-        line[0, 0] = 1.0
-        return constant_projector_field(line, name="xi-plus")
+        return ChiVariant.EVEN_CONSTANT.field
     if spec.startswith("br:"):
         from .berry_robbins import exchange_line_field
 

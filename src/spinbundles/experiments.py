@@ -224,9 +224,9 @@ def gauge_intertwine_residual(
     """
     xs = np.asarray(xs, dtype=float)
     lams = np.asarray(lams, dtype=complex)
-    chi_from = lb.chi_values(variant_from, xs)
-    chi_from_moved = lb.chi_values(variant_from, -xs)
-    chi_to_moved = lb.chi_values(variant_to, -xs)
+    chi_from = variant_from.field.vector(xs)
+    chi_from_moved = variant_from.field.vector(-xs)
+    chi_to_moved = variant_to.field.vector(-xs)
     # action_from = tau-tilde: the ambient vector is fixed while the base
     # moves; re-extract its coordinate against the gauge at the moved point.
     z = lams[:, None] * chi_from
@@ -414,10 +414,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     trace_defect = 0.0
     even_defect = 0.0
     for variant in (ChiVariant.ODD_LINEAR, ChiVariant.ODD_HARMONIC):
-        p = lb.projector_values(variant, xs)
+        p = variant.field.evaluate(xs)
         proj_defect = max(proj_defect, lb.hermiticity_defect(p), lb.idempotency_defect(p))
         trace_defect = max(trace_defect, lb.trace_defect(p))
-        p_neg = lb.projector_values(variant, -xs)
+        p_neg = variant.field.evaluate(-xs)
         even_defect = max(even_defect, float(np.abs(p_neg - p).max()))
     record("bundle.projector-algebra", "P† = P and P^2 = P", proj_defect, tol_a)
     record("bundle.projector-trace", "tr P = 1 (rank one)", trace_defect, tol_f)
@@ -435,7 +435,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 vec = np.array([lam, 0.2j, 1.0])
             y1, w1 = lb.group_act(action, g, x, vec)
             y2, w2 = lb.group_act(action, g, y1, w1)
-            worst = max(worst, float(np.linalg.norm(y2.vec - x.vec)), float(np.abs(w2 - vec).max()))
+            worst = max(
+                worst,
+                float(np.linalg.norm(y1.vec + x.vec)),
+                float(np.linalg.norm(y2.vec - x.vec)),
+                float(np.abs(w2 - vec).max()),
+            )
     record("bundle.action-involution", "tau_g tau_g = id for g^2 = e", worst, 1e-14)
 
     worst = 0.0
@@ -443,7 +448,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         x = SpherePoint.from_vec(v)
         z = lam * lb.chi(ChiVariant.ODD_LINEAR, x)
         _, moved = lb.group_act(lb.tau_tilde(), g, x, z)
-        coeff = lb.fiber_coefficient(ChiVariant.ODD_LINEAR, SpherePoint.from_vec(-v), moved)
+        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-v, moved)
         worst = max(worst, abs(coeff - (-lam)))
     record(
         "bundle.tilde-equals-minus",
@@ -753,7 +758,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     record(
         "br.pm-matches-gauge-projector",
         "the moved-line projector equals the odd harmonic gauge projector",
-        np.abs(pm - lb.projector_values(ChiVariant.ODD_HARMONIC, xs_pm)).max(),
+        np.abs(pm - ChiVariant.ODD_HARMONIC.field.evaluate(xs_pm)).max(),
         tol_a,
     )
 

@@ -3,7 +3,8 @@
 A ProjectorField is a line field |u(x)><u(x)| given by its fiber frame u(x)
 in C^n and the frame's rate along a curve: the linear frames x -> Cx of an
 n x 3 isometry C, or a constant frame (the trivial bundle).  Each gauge map
-chi: S2 -> C^3 is such a field.  An odd chi spans the nontrivial line bundle
+chi: S2 -> C^3 is such a field, read as ChiVariant.field (vector gives chi,
+evaluate |chi><chi|).  An odd chi spans the nontrivial line bundle
 and its projector |chi><chi| is even, so it descends to RP2; the even chi
 presents an isomorphic copy of the pulled-back bundle in a different gauge.
 fiber_coordinate alone decides fiber membership (z = lambda u(x) to within
@@ -133,19 +134,9 @@ _GAUGE_FIELDS = {
 }
 
 
-def chi_values(variant: ChiVariant, xs: np.ndarray) -> np.ndarray:
-    """Evaluate chi on an (..., 3) array of unit vectors; complex (..., 3)."""
-    return variant.field.vector(xs)
-
-
 def chi(variant: ChiVariant, x: SpherePoint) -> np.ndarray:
     """The gauge vector chi(x) in C^3: normalized and nowhere vanishing."""
     return variant.field.frame(x)
-
-
-def projector_values(variant: ChiVariant, xs: np.ndarray) -> np.ndarray:
-    """Rank-1 projector field |chi><chi| on an (..., 3) array; (..., 3, 3)."""
-    return variant.field.evaluate(xs)
 
 
 def grassmann_field(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> ProjectorField:
@@ -189,28 +180,17 @@ def transition(alpha: int, beta: int, q: ProjectivePoint) -> int:
     return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
 
 
-def fiber_coefficient(variant: ChiVariant, x: SpherePoint, z: np.ndarray) -> complex:
-    """Extract lambda with z = lambda * chi(x), rejecting off-line vectors."""
-    return variant.field.fiber_coordinate(x.vec, z)
-
-
-def local_trivialization(
-    alpha: int,
-    q: ProjectivePoint,
-    z: np.ndarray,
-    variant: ChiVariant = ChiVariant.ODD_LINEAR,
-) -> complex:
+def local_trivialization(alpha: int, q: ProjectivePoint, z: np.ndarray) -> complex:
     """Fiber coordinate over U_alpha: v = sign(x_alpha) * lambda.
 
-    lambda is extracted against chi at the canonical representative, which
-    resolves the two-valued lambda vs. -lambda ambiguity deterministically.
-    Compatible with the transitions: v_beta = sign(x_alpha x_beta) v_alpha.
+    lambda is extracted against the linear gauge chi(x) = x at the canonical
+    representative, which resolves the two-valued lambda vs. -lambda
+    ambiguity deterministically.  Compatible with the transitions:
+    v_beta = sign(x_alpha x_beta) v_alpha.
     """
-    if not variant.is_odd:
-        raise ParityError("local trivializations are defined for the odd chi gauges")
     if not chart_contains(alpha, q):
         raise ChartDomainError(f"point outside chart U_{alpha}")
-    lam = fiber_coefficient(variant, q.rep, z)
+    lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q.vec, z)
     sign = 1.0 if q.vec[alpha - 1] > 0 else -1.0
     return sign * lam
 
@@ -280,11 +260,12 @@ def group_act(
         return gx, v.copy()
     if action.label is ActionLabel.TAU_MINUS:
         return gx, g.sign * v
+    field = action.chi_variant.field
     if action.label is ActionLabel.TAU_TILDE:
         # Fiber membership over x is required; the ambient vector is carried
         # along unchanged (and lands in the fiber over gx because chi is odd).
-        fiber_coefficient(action.chi_variant, x, v)
+        field.fiber_coordinate(x.vec, v)
         return gx, v.copy()
     # TAU_PRIME
-    lam = fiber_coefficient(action.chi_variant, x, v)
-    return gx, g.sign * lam * chi(action.chi_variant, gx)
+    lam = field.fiber_coordinate(x.vec, v)
+    return gx, g.sign * lam * field.frame(gx)

@@ -4,11 +4,12 @@ Functions on S2 split into even and odd parts under the antipode map (the
 isotypic decomposition for the two-element group).  Odd functions a are in
 bijection with coefficient triples f_a(x) = x_a * a(x) fixed by the projector
 (x_a x_b), which are in bijection with sections of the nontrivial line bundle
-and with their pull-backs a(x) * chi(x) upstairs.  Invariance of a pull-back
-section under the induced group action is equivalent to membership in the
-image of that chain, i.e. to the coefficient being odd, in every gauge;
-which *singlevaluedness* identity the section satisfies depends on the gauge
-parity instead.
+(SectionXi, presented in the linear gauge chi(x) = x) and with their
+pull-backs a(x) * chi(x) upstairs, in any gauge ChiVariant.field.  Invariance
+of a pull-back section under the induced group action is equivalent to
+membership in the image of that chain, i.e. to the coefficient being odd, in
+every gauge; which *singlevaluedness* identity the section satisfies depends
+on the gauge parity instead.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .config_space import GroupElement, SpherePoint
 from .errors import BindingError, GeometryError, ParityError
-from .line_bundle import ActionLabel, ChiVariant, GroupAction, chi_values
+from .line_bundle import ActionLabel, ChiVariant, GroupAction
 
 # Tolerance for sampled functional identities (parity checks, projector-fixed
 # residuals); algebraic chains are held to 1e-12 in the tests.
@@ -358,18 +359,16 @@ class SectionXi:
     """A section of the nontrivial line bundle as even coefficients f_a.
 
     Evaluation against the generating sections reads
-    value(x) = sum_a f_a(x) * e_a(x) with e_a(x) = x_a * chi(x); the
-    coefficient triple is fixed by the projector: sum_a x_b x_a f_a = f_b.
+    value(x) = sum_a f_a(x) * e_a(x) with e_a(x) = x_a * x, the linear
+    gauge; the coefficient triple is fixed by the projector:
+    sum_a x_b x_a f_a = f_b.
     """
 
     f1: ScalarField
     f2: ScalarField
     f3: ScalarField
-    variant: ChiVariant = ChiVariant.ODD_LINEAR
 
     def __post_init__(self):
-        if not self.variant.is_odd:
-            raise ParityError("sections of the nontrivial bundle are presented by an odd chi")
         for f in (self.f1, self.f2, self.f3):
             _require_parity(f, "even", "section coefficient")
 
@@ -384,7 +383,7 @@ class SectionXi:
     def values(self, xs: np.ndarray) -> np.ndarray:
         """Fiber vectors sum_a f_a(x) e_a(x), shape (..., 3)."""
         xs = np.asarray(xs, dtype=float)
-        chiv = chi_values(self.variant, xs)
+        chiv = ChiVariant.ODD_LINEAR.field.vector(xs)
         coeffs = evaluate_fields(self.fields, xs)
         return sum((f * xs[..., a])[..., None] * chiv for a, f in enumerate(coeffs))
 
@@ -400,16 +399,16 @@ def projector_defect(xs: np.ndarray, coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(xs * a_vals[..., None] - coeffs, axis=-1).max())
 
 
-def zero_section(variant: ChiVariant = ChiVariant.ODD_LINEAR) -> SectionXi:
+def zero_section() -> SectionXi:
     z = zero_field()
-    return SectionXi(z, z, z, variant)
+    return SectionXi(z, z, z)
 
 
-def section_from_odd(a: ScalarField, variant: ChiVariant = ChiVariant.ODD_LINEAR) -> SectionXi:
+def section_from_odd(a: ScalarField) -> SectionXi:
     """The section with coefficients f_a(x) = x_a * a(x) for an odd function a."""
     _require_parity(a, "odd", "coefficient function")
     f1, f2, f3 = (coordinate_field(i) * a for i in (1, 2, 3))
-    return SectionXi(f1, f2, f3, variant)
+    return SectionXi(f1, f2, f3)
 
 
 def odd_from_section(f: SectionXi) -> ScalarField:
@@ -431,12 +430,7 @@ def odd_from_section(f: SectionXi) -> ScalarField:
     return replace(x1 * f.f1 + x2 * f.f2 + x3 * f.f3, parity="odd", name="sum_a x_a*f_a")
 
 
-def project_to_section(
-    g1: ScalarField,
-    g2: ScalarField,
-    g3: ScalarField,
-    variant: ChiVariant = ChiVariant.ODD_LINEAR,
-) -> SectionXi:
+def project_to_section(g1: ScalarField, g2: ScalarField, g3: ScalarField) -> SectionXi:
     """Apply the projector (x_a x_b) to an even coefficient triple."""
     for g in (g1, g2, g3):
         _require_parity(g, "even", "coefficient")
@@ -445,7 +439,6 @@ def project_to_section(
         coordinate_field(1) * inner,
         coordinate_field(2) * inner,
         coordinate_field(3) * inner,
-        variant,
     )
 
 
@@ -458,20 +451,20 @@ class PullbackSection:
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
-        return self.coefficient(xs)[..., None] * chi_values(self.variant, xs)
+        return self.coefficient(xs)[..., None] * self.variant.field.vector(xs)
 
     def sup_norm(self, xs: np.ndarray) -> float:
         return float(np.linalg.norm(self.values(xs), axis=-1).max())
 
 
 def pullback_T(f: SectionXi) -> PullbackSection:
-    """Lift a section to the pull-back bundle: T(s)(x) = (x, a(x) chi(x)).
+    """Lift a section to the pull-back bundle: T(s)(x) = (x, a(x) x).
 
-    The term x_a in e_a(x) = x_a chi(x) is absorbed into the coefficients,
-    leaving the odd function a = sum_a x_a f_a against the gauge chi.  The
-    image is exactly the set of invariant sections upstairs.
+    The term x_a in e_a(x) = x_a x is absorbed into the coefficients,
+    leaving the odd function a = sum_a x_a f_a against the linear gauge.
+    The image is exactly the set of invariant sections upstairs.
     """
-    return PullbackSection(odd_from_section(f), f.variant)
+    return PullbackSection(odd_from_section(f))
 
 
 def g_action_on_section(

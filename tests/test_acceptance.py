@@ -14,7 +14,6 @@ from spinbundles.line_bundle import (
     hermiticity_defect,
     idempotency_defect,
     projector_minus,
-    projector_values,
     trace_defect,
     transition,
 )
@@ -54,7 +53,7 @@ def test_criterion_01_projector_algebra():
     worst_alg = 0.0
     worst_tr = 0.0
     for variant in (ChiVariant.ODD_LINEAR, ChiVariant.ODD_HARMONIC):
-        p = projector_values(variant, POINTS_10K)
+        p = variant.field.evaluate(POINTS_10K)
         worst_alg = max(worst_alg, hermiticity_defect(p), idempotency_defect(p))
         worst_tr = max(worst_tr, trace_defect(p))
     theta, phi = angles_of(POINTS_10K)

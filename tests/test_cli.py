@@ -24,6 +24,27 @@ def test_parse_polynomial_terms(points):
     assert np.abs(vals - expected).max() < 1e-14
 
 
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # a leading sign starts the first term
+        ("-x1", lambda x1, x2, x3: -x1),
+        (" -x1 + x2", lambda x1, x2, x3: -x1 + x2),
+        ("+x1", lambda x1, x2, x3: x1),
+        ("-x1^2*x3", lambda x1, x2, x3: -(x1**2) * x3),
+        # signs inside a term or an exponent are not term separators
+        ("-2*x1", lambda x1, x2, x3: -2 * x1),
+        ("x2 - x1", lambda x1, x2, x3: x2 - x1),
+        ("1e-5*x1 - x3", lambda x1, x2, x3: 1e-5 * x1 - x3),
+        ("x1*-2", lambda x1, x2, x3: -2 * x1),
+    ],
+)
+def test_parse_polynomial_signs(points, text, expected):
+    x = points[:64]
+    vals = parse_polynomial(text)(x)
+    assert np.abs(vals - expected(*x.T)).max() < 1e-15
+
+
 def test_parse_polynomial_rejects_garbage():
     with pytest.raises(ValueError):
         parse_polynomial("x4")
@@ -193,10 +214,11 @@ def test_experiment_json_is_strict_for_even_coefficient(capsys):
 @pytest.mark.parametrize("chi", ["odd-linear", "odd-harmonic", "even-constant"])
 def test_experiment_large_coefficients_keep_the_verdict(capsys, chi):
     # The section test is relative to the coefficient's size, so a large
-    # multiple of x1 is the same section as x1, with no overflow warning.
+    # multiple of x1 is the same section as x1, with no overflow warning;
+    # a leading sign starts the first term, and every field here is odd.
     def verdict(field):
         code, out, _ = run_cli(
-            capsys, "experiment", "--chi", chi, "--field", field, "--samples", "256",
+            capsys, "experiment", "--chi", chi, f"--field={field}", "--samples", "256",
             "--format", "json",
         )
         assert code == 0
@@ -205,7 +227,9 @@ def test_experiment_large_coefficients_keep_the_verdict(capsys, chi):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         expected = verdict("x1")
-        for field in ("1e6*x1", "1e100*x1", "1e100*x1^3+1e100*x1*x2^2"):
+        for field in (
+            "1e6*x1", "1e100*x1", "1e100*x1^3+1e100*x1*x2^2", "-x1", " -x1 + x2", "+x1", "-x1^2*x3",
+        ):
             assert verdict(field) == expected
 
 
@@ -216,6 +240,9 @@ def test_usage_errors_exit_two(capsys):
         (["bogus"], "invalid choice"),
         (["verify", "--fault-inject", "nonsense"], "no fault is wired"),
         (["experiment", "--chi", "odd-linear", "--field", "x1^9"], "exceeds"),
+        (["experiment", "--field=--x1"], "cannot parse polynomial factor"),
+        # argparse reads a separate value with a leading minus as an option
+        (["experiment", "--field", "-x1"], "argument --field: expected one argument"),
         (["holonomy", "--bundle", "wat", "--loop", "antipodal"], "unknown bundle"),
         (["holonomy", "--bundle", "xi-minus", "--loop", "wat"], "unknown loop"),
         (["exchange", "--at", "zero"], "--at expects"),

@@ -7,6 +7,7 @@ import pytest
 from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles import berry_robbins as br
+from spinbundles import config_space
 from spinbundles.config_space import sample_sphere
 from spinbundles.section_algebra import (
     coordinate_field,
@@ -240,6 +241,14 @@ def test_fault_injection_fails_exactly_its_family(cached_suite, target):
     failed = {c.check_id for c in report.failed()}
     assert failed == set(checks_hit_by_fault(target))
     assert not report.all_pass
+
+
+def test_identity_antipode_fails_the_action_involution(monkeypatch):
+    # tau_g tau_g = id holds for any involution, so only the check that the
+    # action moves x to -x catches a group action that fixes the base point.
+    monkeypatch.setattr(config_space, "antipode", lambda p: p)
+    report = run_suite(SuiteConfig(**SMALL))
+    assert {c.check_id for c in report.checks if not c.passed} == {"bundle.action-involution"}
 
 
 def test_check_records_have_anchors(small_report):

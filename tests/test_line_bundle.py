@@ -11,8 +11,6 @@ from spinbundles.line_bundle import (
     ActionLabel,
     ChiVariant,
     chi,
-    chi_values,
-    fiber_coefficient,
     generator_e,
     grassmann_field,
     group_act,
@@ -20,7 +18,6 @@ from spinbundles.line_bundle import (
     idempotency_defect,
     local_trivialization,
     projector_minus,
-    projector_values,
     tau_minus,
     tau_plus,
     tau_prime,
@@ -35,10 +32,10 @@ G = GroupElement(-1)
 
 @pytest.mark.parametrize("variant", list(ChiVariant))
 def test_chi_normalized_nonvanishing_with_declared_parity(variant, points):
-    vals = chi_values(variant, points)
+    vals = variant.field.vector(points)
     norms = np.linalg.norm(vals, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-12
-    flipped = chi_values(variant, -points)
+    flipped = variant.field.vector(-points)
     if variant.is_odd:
         assert np.abs(flipped + vals).max() < 1e-12
     else:
@@ -68,18 +65,18 @@ def test_projector_diagonal_point():
 
 
 def test_projector_linear_gauge_is_coordinate_products(points):
-    p = projector_values(ChiVariant.ODD_LINEAR, points)
+    p = ChiVariant.ODD_LINEAR.field.evaluate(points)
     outer = points[:, :, None] * points[:, None, :]
     assert np.abs(p - outer).max() == 0.0
 
 
 @pytest.mark.parametrize("variant", [ChiVariant.ODD_LINEAR, ChiVariant.ODD_HARMONIC])
 def test_projector_invariants(variant, points):
-    p = projector_values(variant, points)
+    p = variant.field.evaluate(points)
     assert hermiticity_defect(p) < 1e-12
     assert idempotency_defect(p) < 1e-12
     assert trace_defect(p) < 1e-10
-    assert np.abs(projector_values(variant, -points) - p).max() < 1e-14
+    assert np.abs(variant.field.evaluate(-points) - p).max() < 1e-14
 
 
 def test_projector_rejects_even_gauge():
@@ -99,9 +96,9 @@ def _written_out_chi(variant, xs):
 @pytest.mark.parametrize("variant", list(ChiVariant))
 def test_gauge_fields_match_written_out_formulas(variant, points):
     v = _written_out_chi(variant, points)
-    assert np.array_equal(chi_values(variant, points), v)
+    assert np.array_equal(variant.field.vector(points), v)
     outer = v[:, :, None] * v.conj()[:, None, :]
-    assert np.array_equal(projector_values(variant, points), outer)
+    assert np.array_equal(variant.field.evaluate(points), outer)
     if variant.is_odd:
         assert np.array_equal(grassmann_field(variant).vector(points), v)
 
@@ -110,7 +107,7 @@ def test_gauge_fields_match_written_out_formulas(variant, points):
 @pytest.mark.parametrize("offset, on_line", [(0.5, True), (2.0, False)])
 def test_one_fiber_rule_for_coefficients_and_transport(variant, offset, on_line):
     # |lam| = 1, so z sits off the line chi(x) by offset * FIBER_RTOL * |z|;
-    # fiber_coefficient and the start check of parallel_transport agree.
+    # fiber_coordinate and the start check of parallel_transport agree.
     x = SpherePoint.from_vec(np.array([0.48, 0.6, 0.64]))
     u = chi(variant, x)
     e3 = np.array([0.0, 0.0, 1.0], dtype=complex)
@@ -120,11 +117,11 @@ def test_one_fiber_rule_for_coefficients_and_transport(variant, offset, on_line)
     z = lam * u + offset * FIBER_RTOL * normal
     arc = antipodal_arc(x, SpherePoint(0.0, 0.0, 1.0))
     if on_line:
-        assert abs(fiber_coefficient(variant, x, z) - lam) < 1e-15
+        assert abs(variant.field.fiber_coordinate(x.vec, z) - lam) < 1e-15
         parallel_transport(variant.field, arc, z, MIN_STEPS)
     else:
         with pytest.raises(FiberMembershipError):
-            fiber_coefficient(variant, x, z)
+            variant.field.fiber_coordinate(x.vec, z)
         with pytest.raises(FiberMembershipError):
             parallel_transport(variant.field, arc, z, MIN_STEPS)
 
@@ -233,7 +230,7 @@ def test_tau_tilde_reexpression_equals_tau_minus(rng, points):
         x = SpherePoint.from_vec(v)
         z = lam * chi(ChiVariant.ODD_LINEAR, x)
         y, w = group_act(tau_tilde(), G, x, z)
-        coeff = fiber_coefficient(ChiVariant.ODD_LINEAR, y, w)
+        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(y.vec, w)
         assert abs(coeff - (-lam)) < 1e-12
 
 

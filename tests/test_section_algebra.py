@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spinbundles.config_space import GroupElement, SpherePoint, sample_sphere
 from spinbundles.errors import BindingError, GeometryError, ParityError
-from spinbundles.line_bundle import ChiVariant, chi_values, tau_minus, tau_prime, tau_tilde
+from spinbundles.line_bundle import ChiVariant, tau_minus, tau_prime, tau_tilde
 from spinbundles.section_algebra import (
     PullbackSection,
     ScalarField,
