@@ -81,8 +81,15 @@ def singlet_vector() -> np.ndarray:
 
 
 def block_matrix(m: int) -> np.ndarray:
-    """10 x 3 isometry whose columns are |m>^(k) for k = -1, 0, +1."""
-    return np.column_stack([triplet_vector(m, k) for k in TRIPLET_KS])
+    """10 x 3 isometry whose columns are |m>^(k) for k = -1, 0, +1 (read-only)."""
+    if m not in TRIPLET_MS:
+        raise GeometryError(f"invalid triplet label (m={m})")
+    return _BLOCKS[m]
+
+
+_BLOCKS = {m: np.column_stack([triplet_vector(m, k) for k in TRIPLET_KS]) for m in TRIPLET_MS}
+for _b in _BLOCKS.values():
+    _b.flags.writeable = False
 
 
 def total_spin_vector(j: int, m: int) -> np.ndarray:

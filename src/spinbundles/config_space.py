@@ -4,7 +4,9 @@ The unconstrained configuration space is the unit sphere S2 in R^3; the
 constrained one is the projective plane RP2 obtained by identifying antipodal
 points.  RP2 is covered by the three affine charts U_a = {[x] : x_a != 0},
 and sqrt(x_a^2) gives a subordinate partition of unity with
-sum_a phi_a^2 = 1.
+sum_a phi_a^2 = 1.  The scalar chart queries (project, chart_contains,
+chart_map, chart_inverse, partition_phi) read a point's own float
+coordinates; SpherePoint.vec builds a fresh array and is for array callers.
 """
 
 from __future__ import annotations
@@ -85,15 +87,6 @@ def antipode_angles(theta, phi):
     return math.pi - np.asarray(theta), (np.asarray(phi) + math.pi) % TWO_PI
 
 
-def _canonical_rep(v: np.ndarray) -> np.ndarray:
-    # First coordinate with |x_i| > COORD_EPS is made positive; every unit
-    # vector has max_i |x_i| >= 1/sqrt(3), so the scan always terminates.
-    for i in range(3):
-        if abs(v[i]) > COORD_EPS:
-            return -v if v[i] < 0 else v
-    raise GeometryError("no coordinate exceeds the zero threshold")
-
-
 @dataclass(frozen=True)
 class ProjectivePoint:
     """A point [x] of RP2, stored through its canonical representative."""
@@ -106,8 +99,15 @@ class ProjectivePoint:
 
 
 def project(p: SpherePoint) -> ProjectivePoint:
-    """Canonical projection S2 -> RP2; project(x) == project(-x)."""
-    return ProjectivePoint(SpherePoint.from_vec(_canonical_rep(p.vec)))
+    """Canonical projection S2 -> RP2; project(x) == project(-x).
+
+    The first coordinate with |x_i| > COORD_EPS is made positive; every unit
+    vector has max_i |x_i| >= 1/sqrt(3), so the scan always finds one.
+    """
+    for c in (p.x1, p.x2, p.x3):
+        if abs(c) > COORD_EPS:
+            return ProjectivePoint(-p if c < 0 else p)
+    raise GeometryError("no coordinate exceeds the zero threshold")
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ SWAP = GroupElement(-1)
 
 def chart_contains(alpha: int, q: ProjectivePoint) -> bool:
     _check_alpha(alpha)
-    return abs(q.vec[alpha - 1]) > COORD_EPS
+    r = q.rep
+    return abs((r.x1, r.x2, r.x3)[alpha - 1]) > COORD_EPS
 
 
 def chart_map(alpha: int, q: ProjectivePoint) -> tuple[float, float]:
@@ -143,30 +144,34 @@ def chart_map(alpha: int, q: ProjectivePoint) -> tuple[float, float]:
     Ratios are even in x, so the value does not depend on the representative.
     """
     _check_alpha(alpha)
-    v = q.vec
-    d = v[alpha - 1]
+    r = q.rep
+    v = [r.x1, r.x2, r.x3]
+    d = v.pop(alpha - 1)
     if abs(d) <= COORD_EPS:
         raise ChartDomainError(f"point outside chart U_{alpha}")
-    others = [i for i in range(3) if i != alpha - 1]
-    return float(v[others[0]] / d), float(v[others[1]] / d)
+    return v[0] / d, v[1] / d
 
 
 def chart_inverse(alpha: int, uv) -> ProjectivePoint:
-    """Inverse of chart_map: insert 1 at slot alpha, normalize, project."""
+    """Inverse of chart_map: insert 1 at slot alpha, normalize, project.
+
+    Any finite pair is a chart coordinate; hypot normalizes without overflow.
+    """
     _check_alpha(alpha)
     u, w = float(uv[0]), float(uv[1])
-    v = np.empty(3)
-    others = [i for i in range(3) if i != alpha - 1]
-    v[alpha - 1] = 1.0
-    v[others[0]] = u
-    v[others[1]] = w
-    return project(SpherePoint.from_direction(v))
+    if not (math.isfinite(u) and math.isfinite(w)):
+        raise GeometryError(f"chart coordinates must be finite, got ({u!r}, {w!r})")
+    n = math.hypot(1.0, u, w)
+    v = [u / n, w / n]
+    v.insert(alpha - 1, 1.0 / n)
+    return project(SpherePoint(*v))
 
 
 def partition_phi(alpha: int, q: ProjectivePoint) -> float:
     """Partition-of-unity function sqrt(x_alpha^2) = |x_alpha|; sum of squares is 1."""
     _check_alpha(alpha)
-    return abs(float(q.vec[alpha - 1]))
+    r = q.rep
+    return abs((r.x1, r.x2, r.x3)[alpha - 1])
 
 
 class ChartAtlas:
@@ -175,14 +180,16 @@ class ChartAtlas:
     indices = CHART_INDICES
 
     def charts_containing(self, q: ProjectivePoint) -> tuple[int, ...]:
-        return tuple(a for a in self.indices if chart_contains(a, q))
+        r = q.rep
+        return tuple(a for a, c in zip(self.indices, (r.x1, r.x2, r.x3)) if abs(c) > COORD_EPS)
 
 
 ATLAS = ChartAtlas()
 
 
 def _check_alpha(alpha: int) -> None:
-    if alpha not in CHART_INDICES:
+    # 1.0 and True compare equal to 1 but are not chart indices.
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)) or alpha not in CHART_INDICES:
         raise GeometryError(f"chart index must be one of {CHART_INDICES}, got {alpha!r}")
 
 

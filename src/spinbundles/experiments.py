@@ -23,7 +23,8 @@ from . import berry_robbins as br
 from . import line_bundle as lb
 from . import section_algebra as sa
 from . import transport as tp
-from .config_space import ATLAS, GroupElement, SpherePoint, angles_of, chart_inverse, chart_map, project, sample_sphere
+from .config_space import ATLAS, CHART_INDICES, GroupElement, SpherePoint, angles_of, antipode, chart_contains
+from .config_space import chart_inverse, chart_map, partition_phi, project, sample_sphere
 from .errors import ConfigError
 from .line_bundle import ChiVariant
 from .section_algebra import (
@@ -42,6 +43,11 @@ from .section_algebra import (
 NEAR_ZERO_SECTION = 1e-8
 DETECTION_LEVEL = 1e-3
 MAX_SAMPLES = 1 << 20  # bounds the (samples, 3) arrays and what is built from them
+# Points on, or within COORD_EPS of, a chart boundary x_a = 0, which uniform
+# samples never hit: the three axes and two seams.
+_CHART_BOUNDARY_POINTS = tuple(
+    SpherePoint(*v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1e-13, 0.6, 0.8))
+)
 
 
 def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
@@ -360,11 +366,13 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     tol_h = config.tol_holonomy
 
     # -- base space and charts ----------------------------------------------
-    dist = np.linalg.norm(xs - (-xs), axis=1)
+    points = [SpherePoint(*v) for v in xs.tolist()]
+    flipped = np.array([(y.x1, y.x2, y.x3) for y in map(antipode, points)])
+    dist = np.linalg.norm(xs - flipped, axis=1)
     record("base.antipode-free", "|x - (-x)| = 2: the flip acts freely", np.abs(dist - 2).max(), tol_a)
 
-    reps = np.array([project(SpherePoint.from_vec(v)).vec for v in xs[:256]])
-    reps_neg = np.array([project(SpherePoint.from_vec(-v)).vec for v in xs[:256]])
+    reps = np.array([project(x).vec for x in points[:256]])
+    reps_neg = np.array([project(-x).vec for x in points[:256]])
     record(
         "base.project-antipode",
         "project(x) = project(-x)",
@@ -372,14 +380,15 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         0.0,
     )
 
+    phi = np.array([[partition_phi(a, q) for a in CHART_INDICES] for q in map(project, points)])
     record(
         "charts.partition-unity",
         "sum_a phi_a([x])^2 = 1",
-        np.abs((xs**2).sum(axis=1) - 1.0).max(),
+        np.abs((phi**2).sum(axis=1) - 1.0).max(),
         tol_a,
     )
 
-    coverage = np.abs(xs).max(axis=1).min()
+    coverage = phi.max(axis=1).min()
     record(
         "charts.cover",
         "max_a |x_a| >= 1/sqrt(3): the three charts cover everything",
@@ -388,8 +397,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     )
 
     worst = 0.0
-    for v in xs[:128]:
-        q = project(SpherePoint.from_vec(v))
+    for x in points[:128]:
+        q = project(x)
         inside = ATLAS.charts_containing(q)
         direct = {b_idx: chart_map(b_idx, q) for b_idx in inside}
         for a_idx in inside:
@@ -400,14 +409,17 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
                 worst = max(worst, abs(u - again[0]), abs(w - again[1]))
     record("charts.transition-geometry", "h_b . h_a^{-1} maps h_a([x]) to h_b([x])", worst, tol_f)
 
+    # The chart boundaries join the samples here: on them the overlaps, read
+    # from chart_contains, must leave out the charts the point is not in.
     cocycle_defect = 0
-    for v in xs[:512]:
-        q = project(SpherePoint.from_vec(v))
-        inside = ATLAS.charts_containing(q)
+    for x in [*points[:512], *_CHART_BOUNDARY_POINTS]:
+        q = project(x)
+        inside = [a for a in CHART_INDICES if chart_contains(a, q)]
         sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
         for a, b, c in itertools.product(inside, repeat=3):
             cocycle_defect = max(cocycle_defect, abs(sign[a, b] * sign[b, c] - sign[a, c]))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
+    del points  # frees the point objects before the transports set the peak memory
 
     # -- projector fields ------------------------------------------------------
     proj_defect = 0.0

@@ -174,9 +174,11 @@ def trace_defect(p: np.ndarray) -> float:
 
 def transition(alpha: int, beta: int, q: ProjectivePoint) -> int:
     """Transition function of the line bundle on U_alpha ∩ U_beta: sign(x_a x_b)."""
-    if not (chart_contains(alpha, q) and chart_contains(beta, q)):
+    in_alpha, in_beta = chart_contains(alpha, q), chart_contains(beta, q)  # checks both indices
+    if not (in_alpha and in_beta):
         raise ChartDomainError(f"point outside the overlap U_{alpha} ∩ U_{beta}")
-    v = q.vec
+    r = q.rep
+    v = (r.x1, r.x2, r.x3)
     return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
 
 
@@ -191,7 +193,8 @@ def local_trivialization(alpha: int, q: ProjectivePoint, z: np.ndarray) -> compl
     if not chart_contains(alpha, q):
         raise ChartDomainError(f"point outside chart U_{alpha}")
     lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q.vec, z)
-    sign = 1.0 if q.vec[alpha - 1] > 0 else -1.0
+    r = q.rep
+    sign = 1.0 if (r.x1, r.x2, r.x3)[alpha - 1] > 0 else -1.0
     return sign * lam
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from spinbundles.config_space import sample_sphere
+from spinbundles.config_space import COORD_EPS, SpherePoint, sample_sphere
 from spinbundles.experiments import SuiteConfig, run_suite
 
 
@@ -40,3 +42,31 @@ def cached_suite():
         return reports[key]
 
     return run
+
+
+# Coordinates at a chart boundary: signed zeros, and |x_a| at COORD_EPS and
+# one ulp to either side of it.
+_EDGE = [0.0, math.nextafter(COORD_EPS, 0.0), COORD_EPS, math.nextafter(COORD_EPS, 1.0)]
+_EDGE_COORDS = st.sampled_from(_EDGE + [-c for c in _EDGE])
+_SIGNS = st.sampled_from((1.0, -1.0))
+
+
+@st.composite
+def chart_edge_points(draw):
+    """Unit vectors where the scalar chart queries branch: one or two boundary
+    coordinates (two give the poles), seams |x_a| = |x_b|, and generic
+    directions; the coordinates come in any order."""
+    kind = draw(st.sampled_from(("edge", "seam", "generic")))
+    if kind == "edge":
+        a = draw(_EDGE_COORDS)
+        b = draw(st.one_of(_EDGE_COORDS, st.floats(-1.0, 1.0)))
+        coords = [a, b, draw(_SIGNS) * math.sqrt(max(0.0, 1.0 - a * a - b * b))]
+    elif kind == "seam":
+        t = draw(st.floats(0.0, math.sqrt(0.5)))
+        c = math.sqrt(max(0.0, 1.0 - 2.0 * t * t))
+        coords = [draw(_SIGNS) * t, draw(_SIGNS) * t, draw(_SIGNS) * c]
+    else:
+        v = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: math.hypot(*v) > 0.1))
+        n = math.hypot(*v)
+        coords = [c / n for c in v]
+    return SpherePoint(*draw(st.permutations(coords)))

@@ -6,6 +6,7 @@ a removed or renamed name in seconds, not in the benchmark's own self-tests.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -36,3 +37,21 @@ def test_warm_up_ops_pass_their_gates(name):
     for item, payload in ran:
         (attempted, failed), _ = workload.gate(item, payload)
         assert attempted > 0 and failed == 0, item[0]
+
+
+_S = math.sqrt(0.5)
+_R = 1.0 / math.sqrt(3.0)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (_S, _S, 0.0), (_S, -_S, 0.0), (_R, _R, _R), (1e-13, 0.6, 0.8)],
+    ids=["north-pole", "south-pole", "seam+", "seam-", "diagonal", "x1-below-eps"],
+)
+def test_pointwise_op_passes_its_gate_at_chart_seams(x):
+    # The scalar chart and transition queries branch at these directions,
+    # which the workload's random ones never hit.
+    op = {"kind": "pointwise", "x": list(x), "lam": [0.7, -0.3], "vec": [0.4, -1.1, 0.25]}
+    payload = workloads._run_pointwise(op, workloads.cs.SpherePoint.from_vec(op["x"]))
+    (attempted, failed), ratios = workloads._gate_pointwise(op, payload)
+    assert attempted == 1 and failed == 0, ratios

@@ -1,10 +1,15 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from conftest import chart_edge_points
+from hypothesis import given, settings
 
 from spinbundles.config_space import (
     ATLAS,
+    CHART_INDICES,
+    COORD_EPS,
     GroupElement,
     IDENTITY,
     SWAP,
@@ -135,8 +140,10 @@ def test_partition_examples():
 
 
 def test_partition_of_unity(many_points):
-    sq = (many_points**2).sum(axis=1)
-    assert np.abs(sq - 1.0).max() < 1e-12
+    phi = np.array(
+        [[partition_phi(a, project(SpherePoint(*v))) for a in CHART_INDICES] for v in many_points.tolist()]
+    )
+    assert np.abs((phi**2).sum(axis=1) - 1.0).max() < 1e-12
 
 
 def test_partition_even_under_antipode(points):
@@ -151,6 +158,86 @@ def test_chart_membership_threshold():
     q = project(SpherePoint(0.0, 0.0, 1.0))
     assert not chart_contains(1, q)
     assert chart_contains(3, q)
+
+
+def test_chart_inverse_accepts_any_finite_pair():
+    # |(1, u, w)|^2 overflows here; hypot does not.
+    q = chart_inverse(1, (1e200, 1e200))
+    assert np.abs(q.vec - [0.0, math.sqrt(0.5), math.sqrt(0.5)]).max() <= 1e-15
+    q = chart_inverse(1, (1e160, 0.0))
+    assert q.rep == SpherePoint(1e-160, 1.0, 0.0)
+    for uv in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
+        with pytest.raises(GeometryError, match="finite"):
+            chart_inverse(2, uv)
+
+
+@pytest.mark.parametrize("alpha", [1.0, True, False, np.float64(2.0), "1", None, 0, 4, np.int64(4)])
+def test_chart_index_must_be_an_integer_chart(alpha):
+    q = project(SpherePoint(0.6, 0.0, 0.8))
+    for call in (
+        lambda: chart_contains(alpha, q),
+        lambda: chart_map(alpha, q),
+        lambda: chart_inverse(alpha, (0.5, -0.5)),
+        lambda: partition_phi(alpha, q),
+    ):
+        with pytest.raises(GeometryError, match="chart index"):
+            call()
+
+
+def test_chart_index_accepts_numpy_integers():
+    q = project(SpherePoint(0.6, 0.0, 0.8))
+    assert chart_contains(np.int64(3), q) and not chart_contains(np.int32(2), q)
+    assert chart_map(np.int8(3), q) == chart_map(3, q)
+    assert chart_inverse(np.uint8(1), (0.5, 0.5)) == chart_inverse(1, (0.5, 0.5))
+    assert partition_phi(np.int64(1), q) == 0.6
+
+
+# Reference forms of the scalar chart queries, as the array formulas they
+# replaced: the canonical representative, membership and affine coordinates.
+def _reference_rep(p):
+    v = np.array([p.x1, p.x2, p.x3])
+    for i in range(3):
+        if abs(v[i]) > COORD_EPS:
+            return -v if v[i] < 0 else v
+    raise AssertionError("no coordinate exceeds the zero threshold")
+
+
+def _reference_chart_map(alpha, v):
+    d = v[alpha - 1]
+    others = [i for i in range(3) if i != alpha - 1]
+    return float(v[others[0]] / d), float(v[others[1]] / d)
+
+
+def _bits(p):
+    return struct.pack("3d", p.x1, p.x2, p.x3)
+
+
+@given(chart_edge_points())
+@settings(max_examples=400, deadline=None)
+def test_project_identifies_antipodes_bit_for_bit(p):
+    rep = project(p).rep
+    assert _bits(rep) == _bits(project(-p).rep)
+    assert _bits(rep) == _reference_rep(p).tobytes()
+
+
+@given(chart_edge_points())
+@settings(max_examples=400, deadline=None)
+def test_scalar_chart_queries_match_array_reference(p):
+    q = project(p)
+    v = _reference_rep(p)
+    inside = tuple(a for a in CHART_INDICES if abs(v[a - 1]) > COORD_EPS)
+    assert ATLAS.charts_containing(q) == inside
+    for a in CHART_INDICES:
+        assert chart_contains(a, q) == (a in inside)
+        assert partition_phi(a, q) == abs(float(v[a - 1]))
+        if a in inside:
+            assert chart_map(a, q) == _reference_chart_map(a, v)
+            # Up to sign: a round trip may move a coordinate across COORD_EPS.
+            back = chart_inverse(a, chart_map(a, q)).vec
+            assert min(np.abs(back - v).max(), np.abs(back + v).max()) <= 1e-15
+        else:
+            with pytest.raises(ChartDomainError):
+                chart_map(a, q)
 
 
 def test_sample_sphere_deterministic():

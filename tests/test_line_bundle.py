@@ -1,10 +1,19 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from conftest import chart_edge_points
+from hypothesis import given, settings
 
-from spinbundles.config_space import GroupElement, SpherePoint, project
-from spinbundles.errors import BindingError, ChartDomainError, FiberMembershipError, ParityError
+from spinbundles.config_space import CHART_INDICES, COORD_EPS, GroupElement, SpherePoint, project
+from spinbundles.errors import (
+    BindingError,
+    ChartDomainError,
+    FiberMembershipError,
+    GeometryError,
+    ParityError,
+)
 from spinbundles.line_bundle import (
     CHI_HARMONIC,
     FIBER_RTOL,
@@ -155,6 +164,41 @@ def test_transition_representative_independent(points):
         assert transition(1, 2, project(SpherePoint.from_vec(v))) == transition(
             1, 2, project(SpherePoint.from_vec(-v))
         )
+
+
+def _reference_transition(alpha, beta, q):
+    # The array formula: sign(x_a x_b) on the overlap, read from q.vec.
+    v = q.vec
+    if abs(v[alpha - 1]) <= COORD_EPS or abs(v[beta - 1]) <= COORD_EPS:
+        raise ChartDomainError("outside the overlap")
+    return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
+
+
+@given(chart_edge_points())
+@settings(max_examples=400, deadline=None)
+def test_transition_matches_array_reference(p):
+    q = project(p)
+    for a, b in itertools.product(CHART_INDICES, repeat=2):
+        try:
+            expected = _reference_transition(a, b, q)
+        except ChartDomainError:
+            with pytest.raises(ChartDomainError):
+                transition(a, b, q)
+        else:
+            assert transition(a, b, q) == expected
+            assert transition(a, b, project(-p)) == expected
+
+
+@pytest.mark.parametrize("alpha", [1.0, True, np.float64(2.0), "1", None, 0, 4])
+def test_transition_rejects_non_chart_indices(alpha):
+    q = project(SpherePoint(0.6, 0.0, 0.8))
+    with pytest.raises(GeometryError, match="chart index"):
+        transition(alpha, 3, q)
+    with pytest.raises(GeometryError, match="chart index"):
+        transition(3, alpha, q)
+    with pytest.raises(GeometryError, match="chart index"):
+        transition(2, alpha, q)  # checked although the point is outside U_2
+    assert transition(np.int64(1), np.int32(3), q) == transition(1, 3, q) == 1
 
 
 def test_local_trivialization_examples():
