@@ -72,7 +72,6 @@ from .section_algebra import (
     singlevaluedness_residuals,
 )
 from .transport import (
-    Closure,
     Curve,
     antipodal_arc,
     flatness_report,
@@ -83,10 +82,8 @@ from .transport import (
 )
 from .berry_robbins import (
     TwoSpinWaveFunction,
-    assemble_wavefunction,
     br_parallel_residual,
     exchange_block,
-    exchange_full,
     exchange_line_field,
     exchange_rule_residual,
     projector_P0,

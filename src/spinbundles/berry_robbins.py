@@ -169,11 +169,6 @@ def exchange_full_angles(theta, phi, block_fn: BlockFn | None = None) -> np.ndar
     return u
 
 
-def exchange_full(r: SpherePoint) -> np.ndarray:
-    theta, phi = angles_of(r.vec)
-    return exchange_full_angles(theta, phi)
-
-
 def transported_component_vector(theta, phi) -> np.ndarray:
     """Components of the moved total-spin vector against (k=-1, 0, +1), (..., 3)."""
     theta = np.asarray(theta, dtype=float)
@@ -356,10 +351,6 @@ def assemble_values(psi: TwoSpinWaveFunction, xs: np.ndarray) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
     values = evaluate_fields([psi.coefficients[lbl] for lbl in PRODUCT_LABELS], xs)
     return _state(xs, np.stack(values, axis=-1))
-
-
-def assemble_wavefunction(psi: TwoSpinWaveFunction, r: SpherePoint) -> np.ndarray:
-    return assemble_values(psi, r.vec)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from .errors import ChartDomainError, GeometryError
 # canonicalizing representatives and testing chart membership.
 COORD_EPS = 1e-12
 
+SPHERE_TOL = 1e-9  # how far |x|^2 of a point of the sphere may be from 1
+
 #: Chart indices of the standard affine atlas of RP2.
 CHART_INDICES = (1, 2, 3)
 
@@ -38,22 +40,24 @@ class SpherePoint:
 
     def __post_init__(self):
         n = self.x1 * self.x1 + self.x2 * self.x2 + self.x3 * self.x3
-        if not abs(n - 1.0) <= 1e-9:
+        if not abs(n - 1.0) <= SPHERE_TOL:
             raise GeometryError(f"point not on the unit sphere: |x|^2 = {n!r}")
 
     @classmethod
     def from_vec(cls, v) -> "SpherePoint":
         v = np.asarray(v, dtype=float)
+        if v.shape != (3,):
+            raise GeometryError(f"a point of R^3 needs shape (3,), not {v.shape}")
         return cls(float(v[0]), float(v[1]), float(v[2]))
 
     @classmethod
     def from_direction(cls, v) -> "SpherePoint":
-        """Normalize an arbitrary nonzero 3-vector onto the sphere."""
+        """Normalize an arbitrary nonzero finite 3-vector onto the sphere."""
         v = np.asarray(v, dtype=float)
         n = float(np.linalg.norm(v))
-        if n <= COORD_EPS:
-            raise GeometryError("cannot normalize a (near-)zero vector")
-        return cls(float(v[0] / n), float(v[1] / n), float(v[2] / n))
+        if not COORD_EPS < n < math.inf:
+            raise GeometryError("cannot normalize a (near-)zero or non-finite vector")
+        return cls.from_vec(v / n)
 
     @classmethod
     def from_angles(cls, theta: float, phi: float) -> "SpherePoint":
@@ -64,14 +68,6 @@ class SpherePoint:
     @property
     def vec(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.x3])
-
-    @property
-    def theta(self) -> float:
-        return float(angles_of(self.vec)[0])
-
-    @property
-    def phi(self) -> float:
-        return float(angles_of(self.vec)[1])
 
     def __neg__(self) -> "SpherePoint":
         return SpherePoint(-self.x1, -self.x2, -self.x3)

@@ -64,7 +64,7 @@ class ProjectorField:
         u = self.vector(x)
         lam = complex(np.vdot(u, z))
         residual = np.linalg.norm(z - lam * u)
-        if residual > FIBER_RTOL * max(np.linalg.norm(z), 1e-300):
+        if not residual <= FIBER_RTOL * max(np.linalg.norm(z), 1e-300):  # NaN fails too
             raise FiberMembershipError(
                 f"vector is not in the fiber line (off-line residual {residual:.3e})"
             )

@@ -5,26 +5,26 @@ defines a connection on the line sub-bundle it spans (covariant derivative
 = P d).  Each curve carries its position and its analytic velocity, and each
 field carries its fiber frame u(x) and the frame's rate du/dt along a curve.
 Transport along a curve solves dv/dt = [Pdot, P] v from a start vector that
-the field's fiber_coordinate accepts.  The generator is |w><u| - |u><w|, with
-w = du - <u|du> u the horizontal part of du, and it is handed to the RK4
-kernel as its rank-2 frame factors F = [w, -u] and G = [u, w]
-(generator = F G^H); it is never formed as an n x n matrix.  The commutator
-form keeps v in the moving fiber and, because the generator is
-anti-Hermitian, preserves the norm.  For even fields the fiber lines over x
-and -x coincide, so curves that close on the sphere and curves that end at
-the antipode both descend to loops downstairs, and the holonomy is the ratio
-of the fiber coordinates before and after.
+the field's fiber_coordinate accepts, over positions on the unit sphere.
+The generator is |w><u| - |u><w|, with w = du - <u|du> u the horizontal part
+of du, and it is handed to the RK4 kernel as its rank-2 frame factors
+F = [w, -u] and G = [u, w] (generator = F G^H); it is never formed as an
+n x n matrix.  The commutator form keeps v in the moving fiber and, because
+the generator is anti-Hermitian, preserves the norm.  For even fields the
+fiber lines over x and -x coincide, so curves that close on the sphere and
+curves that end at the antipode both descend to loops downstairs, and the
+holonomy is the ratio of the fiber coordinates before and after.  A curve is
+only its path: holonomy reads whether and how it closes from its endpoints.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .config_space import SpherePoint
+from .config_space import SPHERE_TOL, SpherePoint
 from .errors import GeometryError
 from .kernels import rk4_transport_path
 from .line_bundle import ProjectorField
@@ -33,16 +33,7 @@ from .line_bundle import constant_projector_field, grassmann_field  # noqa: F401
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
 MAX_STEPS = 65536  # bounds the generator factors, 2 * steps + 1 nodes
-
-ENDPOINT_TOL = 1e-10
-
-
-class Closure(enum.Enum):
-    """How a curve on the sphere closes up as a loop downstairs."""
-
-    CLOSED_ON_SPHERE = "closed"   # x(1) = x(0)
-    ANTIPODAL = "antipodal"       # x(1) = -x(0)
-    OPEN = "open"
+ENDPOINT_TOL = 1e-10  # how far a loop's end may be from its start or its antipode
 
 
 @dataclass(frozen=True)
@@ -51,7 +42,6 @@ class Curve:
 
     position: Callable[[np.ndarray], np.ndarray]
     velocity: Callable[[np.ndarray], np.ndarray]
-    closure: Closure = Closure.OPEN
     name: str = "curve"
 
     def __call__(self, t):
@@ -62,31 +52,23 @@ class Curve:
     def point(self, t: float) -> SpherePoint:
         return SpherePoint.from_vec(self(float(t)))
 
-    def validate(self) -> None:
-        ts = np.linspace(0.0, 1.0, 33)
-        xs = self.position(ts)
-        norms = np.linalg.norm(xs, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-9:
-            raise GeometryError("curve leaves the unit sphere")
-        x0, x1 = xs[0], xs[-1]
-        if self.closure is Closure.CLOSED_ON_SPHERE and np.linalg.norm(x1 - x0) > ENDPOINT_TOL:
-            raise GeometryError("curve declared closed does not return to its start")
-        if self.closure is Closure.ANTIPODAL and np.linalg.norm(x1 + x0) > ENDPOINT_TOL:
-            raise GeometryError("curve declared antipodal does not end at the antipode")
+
+def _unit(v) -> np.ndarray:  # refuses zero and non-finite directions
+    return SpherePoint.from_direction(v.vec if isinstance(v, SpherePoint) else v).vec
 
 
 def _frame(u, w) -> tuple[np.ndarray, np.ndarray]:
-    u = u.vec if isinstance(u, SpherePoint) else np.asarray(u, dtype=float)
+    u = _unit(u)
     w = w.vec if isinstance(w, SpherePoint) else np.asarray(w, dtype=float)
-    u = u / np.linalg.norm(u)
-    w = w - (w @ u) * u
+    with np.errstate(invalid="ignore"):  # an infinite w turns NaN here and fails below
+        w = w - (w @ u) * u
     n = np.linalg.norm(w)
-    if n < 1e-12:
-        raise GeometryError("second direction is parallel to the first")
+    if not n >= 1e-12:
+        raise GeometryError("second direction is parallel to the first, or not finite")
     return u, w / n
 
 
-def _circle(c, cr: float, sr: float, a, b, span: float, closure: Closure, name: str) -> Curve:
+def _circle(c, cr: float, sr: float, a, b, span: float, name: str) -> Curve:
     """x(t) = cr c + sr (cos(span t) a + sin(span t) b), with its analytic velocity."""
 
     def pos(t):
@@ -97,27 +79,24 @@ def _circle(c, cr: float, sr: float, a, b, span: float, closure: Closure, name: 
         ang = span * np.asarray(t, dtype=float)
         return span * sr * (-np.sin(ang)[..., None] * a + np.cos(ang)[..., None] * b)
 
-    return Curve(pos, vel, closure, name)
+    return Curve(pos, vel, name)
 
 
 def great_circle(u, w) -> Curve:
     """Full great circle through u and (the component of) w, closed on the sphere."""
     u, w = _frame(u, w)
-    return _circle(
-        np.zeros(3), 0.0, 1.0, u, w, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, "great-circle"
-    )
+    return _circle(np.zeros(3), 0.0, 1.0, u, w, 2.0 * np.pi, "great-circle")
 
 
 def antipodal_arc(u, w) -> Curve:
     """Half great circle from u to -u passing through w at the midpoint."""
     u, w = _frame(u, w)
-    return _circle(np.zeros(3), 0.0, 1.0, u, w, np.pi, Closure.ANTIPODAL, "antipodal-arc")
+    return _circle(np.zeros(3), 0.0, 1.0, u, w, np.pi, "antipodal-arc")
 
 
 def small_circle(center, angular_radius: float) -> Curve:
     """Circle of the given angular radius around a center direction; contractible."""
-    c = center.vec if isinstance(center, SpherePoint) else np.asarray(center, dtype=float)
-    c = c / np.linalg.norm(c)
+    c = _unit(center)
     if not 0.0 < angular_radius < np.pi / 2:
         raise GeometryError("angular radius must lie in (0, pi/2)")
     seed = np.array([1.0, 0.0, 0.0]) if abs(c[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
@@ -125,8 +104,7 @@ def small_circle(center, angular_radius: float) -> Curve:
     a /= np.linalg.norm(a)
     b = np.cross(c, a)
     cr, sr = np.cos(angular_radius), np.sin(angular_radius)
-    name = f"small-circle({angular_radius:g})"
-    return _circle(c, cr, sr, a, b, 2.0 * np.pi, Closure.CLOSED_ON_SPHERE, name)
+    return _circle(c, cr, sr, a, b, 2.0 * np.pi, f"small-circle({angular_radius:g})")
 
 
 def constant_curve(p: SpherePoint) -> Curve:
@@ -140,13 +118,13 @@ def constant_curve(p: SpherePoint) -> Curve:
         t = np.asarray(t, dtype=float)
         return np.zeros(t.shape + (3,))
 
-    return Curve(pos, vel, Closure.CLOSED_ON_SPHERE, "constant")
+    return Curve(pos, vel, "constant")
 
 
 def reverse(c: Curve) -> Curve:
     pos = lambda t: c.position(1.0 - np.asarray(t, dtype=float))
     vel = lambda t: -c.velocity(1.0 - np.asarray(t, dtype=float))
-    return Curve(pos, vel, c.closure, f"reversed[{c.name}]")
+    return Curve(pos, vel, f"reversed[{c.name}]")
 
 
 def restrict(c: Curve, t0: float, t1: float) -> Curve:
@@ -154,7 +132,7 @@ def restrict(c: Curve, t0: float, t1: float) -> Curve:
     span = t1 - t0
     pos = lambda t: c.position(t0 + span * np.asarray(t, dtype=float))
     vel = lambda t: span * c.velocity(t0 + span * np.asarray(t, dtype=float))
-    return Curve(pos, vel, Closure.OPEN, f"{c.name}[{t0:g},{t1:g}]")
+    return Curve(pos, vel, f"{c.name}[{t0:g},{t1:g}]")
 
 
 def reparametrize(c: Curve, warp, warp_rate) -> Curve:
@@ -168,7 +146,7 @@ def reparametrize(c: Curve, warp, warp_rate) -> Curve:
         t = np.asarray(t, dtype=float)
         return warp_rate(t)[..., None] * c.velocity(warp(t))
 
-    return Curve(pos, vel, c.closure, f"warped[{c.name}]")
+    return Curve(pos, vel, f"warped[{c.name}]")
 
 
 def _generator_factors(
@@ -180,6 +158,8 @@ def _generator_factors(
     # both are views of (.., 2, n) arrays, the layout the kernel reads.
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
+    if not np.abs(np.einsum("ti,ti->t", xs, xs) - 1.0).max() <= SPHERE_TOL:
+        raise GeometryError("curve leaves the unit sphere")
     u = field.vector(xs)
     du = field.vector_rate(xs, curve.velocity(ts))
     w = du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
@@ -199,7 +179,7 @@ def parallel_transport(
 
     Solves dv/dt = [Pdot, P] v with fixed-step classical RK4.  v0 must lie in
     the fiber at the start point; the result stays in the moving fiber and
-    keeps its norm up to the integration error.
+    keeps its norm up to the integration error.  Every node must be on the sphere.
     """
     if steps < MIN_STEPS:
         raise GeometryError(f"steps must be at least {MIN_STEPS}")
@@ -217,16 +197,16 @@ def parallel_transport(
 def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) -> complex:
     """Holonomy of a loop downstairs: fiber coordinate ratio after transport.
 
-    The curve must close on the sphere or end at the antipode; either way it
-    descends to a loop.  The fiber lines at x(0) and x(1) must agree, so that
-    the ratio <v0|v1>/<v0|v0> is well defined (and independent of the frame
-    choice).
+    The curve must end at its start or at its antipode (to ENDPOINT_TOL);
+    either way it descends to a loop.  The fiber lines at x(0) and x(1) must
+    agree, so that the ratio <v0|v1>/<v0|v0> is well defined (and independent
+    of the frame choice).  Every test here fails on NaN.
     """
-    if curve.closure not in (Closure.CLOSED_ON_SPHERE, Closure.ANTIPODAL):
-        raise GeometryError("curve does not descend to a loop")
-    curve.validate()
-    p_start, p_end = field.evaluate(curve(np.array([0.0, 1.0])))
-    if np.abs(p_end - p_start).max() > ENDPOINT_TOL:
+    x0, x1 = ends = curve(np.array([0.0, 1.0]))
+    if not (np.linalg.norm(x1 - x0) <= ENDPOINT_TOL or np.linalg.norm(x1 + x0) <= ENDPOINT_TOL):
+        raise GeometryError("curve ends neither at its start nor at its antipode: no loop")
+    p_start, p_end = field.evaluate(ends)
+    if not np.abs(p_end - p_start).max() <= ENDPOINT_TOL:
         raise GeometryError("the fiber lines at the two ends of the loop differ")
     v0 = field.frame(curve.point(0.0))
     v1 = parallel_transport(field, curve, v0, steps)
@@ -239,7 +219,8 @@ def flatness_report(
     """Worst deviation |h - 1| over a family of contractible loops."""
     worst = 0.0
     for loop in loops:
-        if loop.closure is not Closure.CLOSED_ON_SPHERE:
+        x0, x1 = loop(np.array([0.0, 1.0]))
+        if not np.linalg.norm(x1 - x0) <= ENDPOINT_TOL:
             raise GeometryError("flatness check expects loops closed on the sphere")
         worst = max(worst, abs(holonomy(field, loop, steps) - 1.0))
     return worst

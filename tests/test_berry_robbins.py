@@ -18,11 +18,9 @@ from spinbundles.berry_robbins import (
     TwoSpinWaveFunction,
     antisymmetrize,
     assemble_values,
-    assemble_wavefunction,
     block_matrix,
     br_parallel_residual,
     exchange_block,
-    exchange_full,
     exchange_full_angles,
     exchange_line_field,
     exchange_rule_residual,
@@ -127,7 +125,7 @@ def test_exchange_full_blocks_and_singlet(points):
 def test_exchange_full_identity():
     # the sqrt(2) embedding of the mixed slots costs one ulp at theta = 0
     north = SpherePoint(0.0, 0.0, 1.0)
-    assert np.abs(exchange_full(north) - np.eye(10)).max() < 1e-15
+    assert np.abs(exchange_full_angles(*angles_of(north.vec)) - np.eye(10)).max() < 1e-15
 
 
 def test_transported_basis_examples(points):
@@ -136,7 +134,7 @@ def test_transported_basis_examples(points):
     for v in points[:64]:
         x = SpherePoint.from_vec(v)
         assert np.allclose(transported_basis(0, 0, x), singlet_vector())
-        u10 = exchange_full(x)
+        u10 = exchange_full_angles(*angles_of(x.vec))
         for m in TRIPLET_MS:
             moved = transported_basis(1, m, x)
             assert np.linalg.norm(moved - u10 @ total_spin_vector(1, m)) < 1e-12
@@ -401,7 +399,7 @@ def test_assemble_odd_coefficient_times_moved_triplet_is_even(points):
 
 def test_assemble_scalar_wrapper():
     psi = zero_wavefunction()
-    out = assemble_wavefunction(psi, SpherePoint(0.0, 0.0, 1.0))
+    out = assemble_values(psi, SpherePoint(0.0, 0.0, 1.0).vec)
     assert out.shape == (DIMENSION,)
 
 

@@ -33,12 +33,37 @@ def test_sphere_point_unit_norm_enforced():
         SpherePoint(1.0, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("v", [[1.0, 0.0], [1.0, 0.0, 0.0, 7.0], [[1.0, 0.0, 0.0]], 1.0])
+def test_from_vec_needs_exactly_three_coordinates(v):
+    with pytest.raises(GeometryError, match="shape"):
+        SpherePoint.from_vec(v)
+    assert SpherePoint.from_vec([0.0, 1.0, 0.0]) == SpherePoint(0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "v", [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]]
+)
+def test_from_direction_refuses_zero_and_non_finite_vectors(v):
+    # Refused before the division, so no 0/0 or inf/inf warning is raised.
+    with pytest.raises(GeometryError, match="cannot normalize"):
+        SpherePoint.from_direction(v)
+
+
+def test_from_direction_divides_by_the_norm():
+    v = np.array([1.0, 2.0, 0.5])
+    n = float(np.linalg.norm(v))
+    p = SpherePoint.from_direction(v)
+    assert (p.x1, p.x2, p.x3) == (v[0] / n, v[1] / n, v[2] / n)
+    with pytest.raises(GeometryError, match="shape"):
+        SpherePoint.from_direction([1.0, 0.0, 0.0, 0.0])
+
+
 def test_angles_round_trip(rng):
     for _ in range(200):
         theta = rng.uniform(0.05, math.pi - 0.05)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         p = SpherePoint.from_angles(theta, phi)
-        q = SpherePoint.from_angles(p.theta, p.phi)
+        q = SpherePoint.from_angles(*angles_of(p.vec))
         assert np.linalg.norm(p.vec - q.vec) < 1e-12
 
 
@@ -59,9 +84,10 @@ def test_antipode_in_angles_matches_cartesian_negation():
     q = antipode(p)
     expected = SpherePoint.from_angles(2 * math.pi / 3, 5 * math.pi / 4)
     assert np.linalg.norm(q.vec - expected.vec) < 1e-12
-    theta_a, phi_a = antipode_angles(p.theta, p.phi)
-    assert abs(theta_a - q.theta) < 1e-12
-    assert abs(phi_a - q.phi) < 1e-12
+    theta_a, phi_a = antipode_angles(*angles_of(p.vec))
+    theta_q, phi_q = angles_of(q.vec)
+    assert abs(theta_a - theta_q) < 1e-12
+    assert abs(phi_a - phi_q) < 1e-12
 
 
 def test_action_is_free(many_points):

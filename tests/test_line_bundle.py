@@ -296,6 +296,28 @@ def test_fiber_membership_enforced():
         group_act(tau_tilde(), G, x, bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [[0], [0, 2]])
+def test_non_finite_vectors_lie_in_no_fiber(bad, where):
+    # A NaN or infinite vector makes the off-line residual NaN, which must fail
+    # the membership test rather than come back as a NaN coordinate.
+    x = SpherePoint(0.6, 0.0, 0.8)
+    z = x.vec.astype(complex)
+    z[where] = bad
+    for variant in ChiVariant:
+        with pytest.raises(FiberMembershipError):
+            variant.field.fiber_coordinate(x.vec, z)
+    with pytest.raises(FiberMembershipError):
+        group_act(tau_tilde(), G, x, z)
+    with pytest.raises(FiberMembershipError):
+        group_act(tau_prime(), G, x, z)
+    with pytest.raises(FiberMembershipError):
+        local_trivialization(1, project(x), z)
+    arc = antipodal_arc(x, SpherePoint(0.0, 1.0, 0.0))
+    with pytest.raises(FiberMembershipError):
+        parallel_transport(ChiVariant.ODD_LINEAR.field, arc, z, MIN_STEPS)
+
+
 def test_action_binding_requirements():
     with pytest.raises(BindingError):
         tau_tilde(ChiVariant.EVEN_CONSTANT)

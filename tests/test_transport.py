@@ -16,8 +16,8 @@ from spinbundles.line_bundle import (
     linear_line_field,
 )
 from spinbundles.transport import (
+    ENDPOINT_TOL,
     MAX_STEPS,
-    Closure,
     Curve,
     antipodal_arc,
     constant_curve,
@@ -66,19 +66,19 @@ def quarter_circle():
         ang = 0.5 * np.pi * np.asarray(t, dtype=float)
         return 0.5 * np.pi * np.stack([-np.sin(ang), np.cos(ang), np.zeros_like(ang)], axis=-1)
 
-    return Curve(pos, vel, Closure.OPEN, "quarter")
+    return Curve(pos, vel, "quarter")
 
 
 def test_curve_factories_validate():
-    for c in (
-        great_circle(E1, E3),
-        antipodal_arc(E1, E3),
-        small_circle(E3, 0.3),
-        constant_curve(E2),
-    ):
-        c.validate()
-    assert great_circle(E1, E3).closure is Closure.CLOSED_ON_SPHERE
-    assert antipodal_arc(E1, E3).closure is Closure.ANTIPODAL
+    # Each factory stays on the unit sphere; its endpoints say how it closes.
+    ts = np.linspace(0.0, 1.0, 33)
+    closed = (great_circle(E1, E3), small_circle(E3, 0.3), constant_curve(E2))
+    for c in closed + (antipodal_arc(E1, E3),):
+        assert np.abs(np.linalg.norm(c.position(ts), axis=1) - 1.0).max() < 1e-15
+    for c in closed:
+        assert np.linalg.norm(c(1.0) - c(0.0)) < 1e-15
+    arc = antipodal_arc(E1, E3)
+    assert np.linalg.norm(arc(1.0) + arc(0.0)) < 1e-15
     with pytest.raises(GeometryError):
         antipodal_arc(E1, E1)
     with pytest.raises(GeometryError):
@@ -232,10 +232,109 @@ def test_linear_line_field_requires_isometry():
 
 
 def test_holonomy_rejects_mislabelled_half_arc():
+    # Half an antipodal arc ends a quarter turn from its start: no loop,
+    # whatever it is called.
     half = restrict(antipodal_arc(E1, E3), 0.0, 0.5)
-    mislabelled = Curve(half.position, half.velocity, Closure.ANTIPODAL, "half-arc")
+    mislabelled = Curve(half.position, half.velocity, "antipodal-arc")
+    for curve in (half, mislabelled):
+        with pytest.raises(GeometryError, match="no loop"):
+            holonomy(P_LIN, curve, 1024)
+        with pytest.raises(GeometryError, match="closed on the sphere"):
+            flatness_report(P_LIN, [curve], 1024)
+
+
+def test_half_great_circle_is_an_antipodal_loop():
+    # Built as an open piece of a great circle, it ends at the antipode of its
+    # start and so descends to the noncontractible loop.
+    half = restrict(great_circle(E1, E3), 0.0, 0.5)
+    assert abs(holonomy(grassmann_field(), half, 4096) + 1.0) < 1e-6
     with pytest.raises(GeometryError):
-        holonomy(P_LIN, mislabelled, 1024)
+        flatness_report(P_LIN, [half], 64)
+
+
+def _wobbly_great_circle():
+    """The great circle through e1 and e3 scaled by 1 + 0.01 sin(pi t): off the sphere inside."""
+    g = great_circle(E1, E3)
+
+    def pos(t):
+        t = np.asarray(t, dtype=float)
+        return (1.0 + 0.01 * np.sin(np.pi * t))[..., None] * g.position(t)
+
+    def vel(t):
+        t = np.asarray(t, dtype=float)
+        scale = 1.0 + 0.01 * np.sin(np.pi * t)
+        rate = 0.01 * np.pi * np.cos(np.pi * t)
+        return rate[..., None] * g.position(t) + scale[..., None] * g.velocity(t)
+
+    return Curve(pos, vel, "wobbly")
+
+
+def test_curve_off_the_sphere_is_refused():
+    curve = _wobbly_great_circle()
+    assert np.linalg.norm(curve(1.0) - curve(0.0)) < ENDPOINT_TOL
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        holonomy(P_LIN, curve, 64)
+    v0 = chi(ChiVariant.ODD_LINEAR, E1)
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        parallel_transport(P_LIN, curve, v0, 64)
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        parallel_transport(P_LIN, restrict(curve, 0.0, 0.25), v0, 64)
+
+
+def _with_nan(curve, bad):
+    """The curve with its position NaN wherever bad(t) holds."""
+
+    def pos(t):
+        t = np.asarray(t, dtype=float)
+        return np.where(bad(t)[..., None], np.nan, curve.position(t))
+
+    return Curve(pos, curve.velocity, f"nan[{curve.name}]")
+
+
+def test_nan_curve_is_refused():
+    v0 = chi(ChiVariant.ODD_LINEAR, E1)
+    everywhere = _with_nan(great_circle(E1, E3), lambda t: np.ones(t.shape, dtype=bool))
+    with pytest.raises(GeometryError, match="no loop"):
+        holonomy(P_LIN, everywhere, 64)
+    with pytest.raises(FiberMembershipError):
+        parallel_transport(P_LIN, everywhere, v0, 64)
+    # NaN at one interior node only: both endpoints are fine, the path is not.
+    inside = _with_nan(great_circle(E1, E3), lambda t: t == 0.5)
+    assert np.linalg.norm(inside(1.0) - inside(0.0)) < ENDPOINT_TOL
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        holonomy(P_LIN, inside, 64)
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        parallel_transport(P_LIN, inside, v0, 64)
+    at_end = _with_nan(antipodal_arc(E1, E3), lambda t: t == 1.0)
+    with pytest.raises(GeometryError, match="no loop"):
+        holonomy(P_LIN, at_end, 64)
+
+
+def test_nan_fiber_at_the_end_is_refused():
+    # The field's line is NaN near -e1, where the antipodal arc ends: the two
+    # end fibers cannot be compared, so there is no holonomy.
+    def vector(xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.where((xs[..., 0] < -0.5)[..., None], np.nan, xs).astype(complex)
+
+    field = ProjectorField(vector, lambda xs, vs: np.asarray(vs, dtype=complex), name="nan-near-minus-e1")
+    with pytest.raises(GeometryError, match="fiber lines"):
+        holonomy(field, antipodal_arc(E1, E3), 64)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: antipodal_arc(E1, bad),
+        lambda bad: antipodal_arc(bad, E3),
+        lambda bad: great_circle(bad, E3),
+        lambda bad: small_circle(bad, 0.3),
+    ],
+)
+@pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [0.0, 0.0, 0.0]])
+def test_curve_builders_refuse_zero_and_non_finite_directions(build, bad):
+    with pytest.raises(GeometryError):
+        build(bad)
 
 
 def test_holonomy_rejects_field_with_different_antipodal_fibers():
@@ -260,7 +359,6 @@ def test_holonomy_rejects_field_with_different_antipodal_fibers():
 
 def test_restrict_ends_at_its_sub_interval():
     half = restrict(great_circle(E1, E3), 0.0, 0.5)
-    assert half.closure is Closure.OPEN
     assert np.linalg.norm(half(0.0) - E1.vec) < 1e-12
     assert np.linalg.norm(half(1.0) + E1.vec) < 1e-12
 
@@ -276,8 +374,7 @@ def _warp_rate(t):
 def test_reparametrize_keeps_image():
     g = great_circle(E1, E3)
     warped = reparametrize(g, _warp, _warp_rate)
-    warped.validate()
-    assert warped.closure is Closure.CLOSED_ON_SPHERE
+    assert np.array_equal(warped(0.0), g(0.0)) and np.array_equal(warped(1.0), g(1.0))
     ts = np.linspace(0, 1, 33)
     assert np.array_equal(warped.position(ts), g.position(_warp(ts)))
 
@@ -365,7 +462,6 @@ def _rotated(curve, rot):
     return Curve(
         lambda t: curve.position(t) @ rot.T,
         lambda t: curve.velocity(t) @ rot.T,
-        curve.closure,
         f"rotated[{curve.name}]",
     )
 
