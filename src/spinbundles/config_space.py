@@ -30,6 +30,18 @@ CHART_INDICES = (1, 2, 3)
 TWO_PI = 2.0 * math.pi
 
 
+def _pow2_scaled(v: np.ndarray) -> np.ndarray:
+    """v times the power of two that puts its largest |entry| in [1, 2).
+
+    The scaling is exact, so ratios of entries and norms are those of v.  A
+    zero or non-finite v is returned as it is.
+    """
+    big = float(np.abs(v).max(initial=0.0))
+    if not 0.0 < big < math.inf:
+        return v
+    return np.ldexp(v, 1 - math.frexp(big)[1])
+
+
 @dataclass(frozen=True)
 class SpherePoint:
     """A point of the unit sphere, stored in Cartesian coordinates."""
@@ -52,11 +64,15 @@ class SpherePoint:
 
     @classmethod
     def from_direction(cls, v) -> "SpherePoint":
-        """Normalize an arbitrary nonzero finite 3-vector onto the sphere."""
-        v = np.asarray(v, dtype=float)
+        """Normalize an arbitrary nonzero finite 3-vector onto the sphere.
+
+        The norm is taken after an exact power-of-two scaling, so no entry
+        size overflows or underflows it.
+        """
+        v = _pow2_scaled(np.asarray(v, dtype=float))
         n = float(np.linalg.norm(v))
-        if not COORD_EPS < n < math.inf:
-            raise GeometryError("cannot normalize a (near-)zero or non-finite vector")
+        if not 1.0 <= n < math.inf:
+            raise GeometryError("cannot normalize a zero or non-finite vector")
         return cls.from_vec(v / n)
 
     @classmethod

@@ -62,6 +62,8 @@ class ProjectorField:
         """Extract lambda with z = lambda * u(x) at a unit vector x, rejecting off-line z."""
         z = np.asarray(z, dtype=complex)
         u = self.vector(x)
+        if z.shape != u.shape:  # vdot flattens, and the residual would broadcast
+            raise FiberMembershipError(f"a fiber vector needs shape {u.shape}, not {z.shape}")
         lam = complex(np.vdot(u, z))
         residual = np.linalg.norm(z - lam * u)
         if not residual <= FIBER_RTOL * max(np.linalg.norm(z), 1e-300):  # NaN fails too

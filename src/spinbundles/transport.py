@@ -9,12 +9,14 @@ the field's fiber_coordinate accepts, over positions on the unit sphere.
 The generator is |w><u| - |u><w|, with w = du - <u|du> u the horizontal part
 of du, and it is handed to the RK4 kernel as its rank-2 frame factors
 F = [w, -u] and G = [u, w] (generator = F G^H); it is never formed as an
-n x n matrix.  The commutator form keeps v in the moving fiber and, because
-the generator is anti-Hermitian, preserves the norm.  For even fields the
-fiber lines over x and -x coincide, so curves that close on the sphere and
-curves that end at the antipode both descend to loops downstairs, and the
-holonomy is the ratio of the fiber coordinates before and after.  A curve is
-only its path: holonomy reads whether and how it closes from its endpoints.
+n x n matrix.  Where w vanishes at every node the connection is zero, and
+transport returns its start without integrating.  The commutator form keeps
+v in the moving fiber and, because the generator is anti-Hermitian,
+preserves the norm.  For even fields the fiber lines over x and -x coincide,
+so curves that close on the sphere and curves that end at the antipode both
+descend to loops downstairs, and the holonomy is the ratio of the fiber
+coordinates before and after.  A curve is only its path: holonomy reads
+whether and how it closes from its endpoints.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config_space import SPHERE_TOL, SpherePoint
+from .config_space import SPHERE_TOL, SpherePoint, _pow2_scaled
 from .errors import GeometryError
 from .kernels import rk4_transport_path
 from .line_bundle import ProjectorField
@@ -59,7 +61,9 @@ def _unit(v) -> np.ndarray:  # refuses zero and non-finite directions
 
 def _frame(u, w) -> tuple[np.ndarray, np.ndarray]:
     u = _unit(u)
-    w = w.vec if isinstance(w, SpherePoint) else np.asarray(w, dtype=float)
+    # Scaled so that its largest entry is in [1, 2): the parallelism test is
+    # relative to |w|, and a zero w stays zero and fails it.
+    w = _pow2_scaled(w.vec if isinstance(w, SpherePoint) else np.asarray(w, dtype=float))
     with np.errstate(invalid="ignore"):  # an infinite w turns NaN here and fails below
         w = w - (w @ u) * u
     n = np.linalg.norm(w)
@@ -149,20 +153,25 @@ def reparametrize(c: Curve, warp, warp_rate) -> Curve:
     return Curve(pos, vel, f"warped[{c.name}]")
 
 
-def _generator_factors(
+def _horizontal_frame(
     field: ProjectorField, curve: Curve, steps: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    # [Pdot, P] = |w><u| - |u><w| = F G^H with F = [w, -u] and G = [u, w],
-    # w the horizontal part of du: the component <u|du> u only turns the
-    # frame's phase, not the line.  Each factor has shape (2*steps + 1, n, 2);
-    # both are views of (.., 2, n) arrays, the layout the kernel reads.
+    # The fiber frame u and the horizontal part w = du - <u|du> u of its rate
+    # at the 2*steps + 1 nodes and midpoints: the component <u|du> u only
+    # turns the frame's phase, not the line.  Each has shape (2*steps + 1, n).
     ts = np.linspace(0.0, 1.0, 2 * steps + 1)
     xs = curve.position(ts)
     if not np.abs(np.einsum("ti,ti->t", xs, xs) - 1.0).max() <= SPHERE_TOL:
         raise GeometryError("curve leaves the unit sphere")
     u = field.vector(xs)
     du = field.vector_rate(xs, curve.velocity(ts))
-    w = du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
+    return u, du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
+
+
+def _generator_factors(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # [Pdot, P] = |w><u| - |u><w| = F G^H with F = [w, -u] and G = [u, w].
+    # Each factor has shape (2*steps + 1, n, 2); both are views of
+    # (.., 2, n) arrays, the layout the kernel reads.
     f = np.stack([w, -u], axis=-2).swapaxes(-1, -2)
     g = np.stack([u, w], axis=-2).swapaxes(-1, -2)
     return f, g
@@ -180,6 +189,8 @@ def parallel_transport(
     Solves dv/dt = [Pdot, P] v with fixed-step classical RK4.  v0 must lie in
     the fiber at the start point; the result stays in the moving fiber and
     keeps its norm up to the integration error.  Every node must be on the sphere.
+    Where w vanishes at every node (a constant line) the path is v0 at every
+    node, without integrating.
     """
     if steps < MIN_STEPS:
         raise GeometryError(f"steps must be at least {MIN_STEPS}")
@@ -187,8 +198,11 @@ def parallel_transport(
         raise GeometryError(f"steps must be at most {MAX_STEPS}")
     v0 = np.asarray(v0, dtype=complex)
     field.fiber_coordinate(curve(0.0), v0)
-    f, g = _generator_factors(field, curve, steps)
-    path = rk4_transport_path(f, g, 1.0 / steps, v0)
+    u, w = _horizontal_frame(field, curve, steps)
+    if w.any():
+        path = rk4_transport_path(*_generator_factors(u, w), 1.0 / steps, v0)
+    else:  # a vanishing connection moves nothing: every RK4 increment is exactly 0
+        path = np.tile(v0, (steps + 1, 1))
     if return_path:
         return np.linspace(0.0, 1.0, steps + 1), path
     return path[-1]

@@ -41,7 +41,7 @@ def test_from_vec_needs_exactly_three_coordinates(v):
 
 
 @pytest.mark.parametrize(
-    "v", [[0.0, 0.0, 0.0], [1e-13, 0.0, 0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]]
+    "v", [[0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0], [-np.inf, 1.0, 1.0]]
 )
 def test_from_direction_refuses_zero_and_non_finite_vectors(v):
     # Refused before the division, so no 0/0 or inf/inf warning is raised.
@@ -56,6 +56,31 @@ def test_from_direction_divides_by_the_norm():
     assert (p.x1, p.x2, p.x3) == (v[0] / n, v[1] / n, v[2] / n)
     with pytest.raises(GeometryError, match="shape"):
         SpherePoint.from_direction([1.0, 0.0, 0.0, 0.0])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "v, expected",
+    [
+        ([1e200, 1e200, 0.0], (math.sqrt(0.5), math.sqrt(0.5), 0.0)),
+        ([1e-200, -1e-200, 0.0], (math.sqrt(0.5), -math.sqrt(0.5), 0.0)),
+        ([-1.7e308, 1.7e308, 1.7e308], (-math.sqrt(1 / 3), math.sqrt(1 / 3), math.sqrt(1 / 3))),
+        ([0.0, 5e-324, 0.0], (0.0, 1.0, 0.0)),
+        ([1e-13, 0.0, 0.0], (1.0, 0.0, 0.0)),
+    ],
+)
+def test_from_direction_accepts_every_finite_scale(v, expected):
+    # Neither overflow in the norm nor a floor on it: only the direction counts.
+    p = SpherePoint.from_direction(v)
+    assert np.abs(p.vec - expected).max() <= 2e-16
+
+
+def test_from_direction_scaling_keeps_ordinary_inputs_bit_for_bit(rng):
+    # A power-of-two scaling is exact, so ordinary inputs divide by their
+    # own norm as before.
+    for v in rng.standard_normal((200, 3)) * np.exp2(rng.integers(-60, 60, (200, 1))):
+        n = float(np.linalg.norm(v))
+        assert SpherePoint.from_direction(v) == SpherePoint(*(v / n))
 
 
 def test_angles_round_trip(rng):

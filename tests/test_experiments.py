@@ -7,7 +7,7 @@ import pytest
 from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles import berry_robbins as br
-from spinbundles import config_space
+from spinbundles import config_space, experiments
 from spinbundles.config_space import sample_sphere
 from spinbundles.section_algebra import (
     coordinate_field,
@@ -249,6 +249,15 @@ def test_identity_antipode_fails_the_action_involution(monkeypatch):
     monkeypatch.setattr(config_space, "antipode", lambda p: p)
     report = run_suite(SuiteConfig(**SMALL))
     assert {c.check_id for c in report.checks if not c.passed} == {"bundle.action-involution"}
+
+
+def test_swapped_parity_split_fails_the_idempotence_check(monkeypatch):
+    # Idempotence, complementarity and reconstruction are symmetric in the two
+    # parts, so only the parity of each part tells (even, odd) from (odd, even).
+    split = experiments.parity_decompose
+    monkeypatch.setattr(experiments, "parity_decompose", lambda a: split(a)[::-1])
+    report = run_suite(SuiteConfig(**SMALL))
+    assert {c.check_id for c in report.checks if not c.passed} == {"sections.parity-idempotent"}
 
 
 def test_check_records_have_anchors(small_report):

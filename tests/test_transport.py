@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinbundles.berry_robbins import TRIPLET_MS, block_matrix, exchange_line_field
+from spinbundles import transport
+from spinbundles.berry_robbins import TRIPLET_MS, block_matrix, exchange_line_field, singlet_field
 from spinbundles.config_space import SpherePoint
 from spinbundles.errors import FiberMembershipError, GeometryError
 from spinbundles.line_bundle import (
@@ -15,9 +16,11 @@ from spinbundles.line_bundle import (
     grassmann_field,
     linear_line_field,
 )
+from spinbundles.kernels import rk4_transport_path
 from spinbundles.transport import (
     ENDPOINT_TOL,
     MAX_STEPS,
+    MIN_STEPS,
     Curve,
     antipodal_arc,
     constant_curve,
@@ -30,7 +33,7 @@ from spinbundles.transport import (
     reverse,
     small_circle,
 )
-from spinbundles.transport import _frame, _generator_factors
+from spinbundles.transport import _frame, _generator_factors, _horizontal_frame
 
 E1 = SpherePoint(1.0, 0.0, 0.0)
 E2 = SpherePoint(0.0, 1.0, 0.0)
@@ -515,7 +518,7 @@ def test_generator_grid_matches_commutator(field_name):
     field, c = _LINEAR_FIELDS[field_name]
     starts = _POLE_STARTS + [(np.array([0.48, 0.6, 0.64]), 1.0)]
     for curve in _rotated_loops(starts):
-        f, g = _generator_factors(field, curve, 64)
+        f, g = _generator_factors(*_horizontal_frame(field, curve, 64))
         assert f.shape == g.shape == (129, c.shape[0], 2)
         ts = np.linspace(0.0, 1.0, 129)
         xs, vs = curve.position(ts), curve.velocity(ts)
@@ -532,7 +535,7 @@ def test_constant_field_factors_have_zero_rate():
     u = np.array([0.6, 0.0, 0.8j])
     field = constant_projector_field(np.outer(u, u.conj()))
     curve = great_circle(E1, E2)
-    f, g = _generator_factors(field, curve, 64)
+    f, g = _generator_factors(*_horizontal_frame(field, curve, 64))
     assert np.array_equal(f[..., 0], np.zeros((129, 3)))
     assert np.array_equal(g[..., 1], np.zeros((129, 3)))
     v0 = field.frame(curve.point(0.0))
@@ -579,3 +582,104 @@ def test_transport_matches_linear_frame_oracle(field_name):
         errors = _oracle_errors(field, c, curve)
         assert errors[-1] < 1e-8
         assert np.all(errors[:-1] / errors[1:] >= 12.0)
+
+
+def _fixed_line():
+    # The constant field of run_suite's holonomy.trivial-bundle check.
+    frame = np.array([0.6, 0.48j, 0.64], dtype=complex)
+    frame /= np.linalg.norm(frame)
+    return constant_projector_field(np.outer(frame, frame.conj()), "fixed-line")
+
+
+_CONSTANT_FIELDS = {
+    "singlet": singlet_field(),
+    "constant-line": constant_projector_field(np.outer([0.6, 0.0, 0.8j], [0.6, 0.0, -0.8j])),
+    "fixed-line": _fixed_line(),
+}
+
+
+@pytest.mark.parametrize("steps", [16, 256, 4096])
+@pytest.mark.parametrize("name", sorted(_CONSTANT_FIELDS))
+def test_vanishing_connection_path_matches_the_kernel(name, steps):
+    # w = 0 at every node, so every RK4 increment is exactly zero and the
+    # constant path the transport returns is the kernel's, bit for bit.
+    field = _CONSTANT_FIELDS[name]
+    curve = antipodal_arc(SpherePoint(0.6, 0.0, 0.8), E2)
+    v0 = field.frame(curve.point(0.0))
+    u, w = _horizontal_frame(field, curve, steps)
+    assert not w.any()
+    reference = rk4_transport_path(*_generator_factors(u, w), 1.0 / steps, v0)
+    ts, path = parallel_transport(field, curve, v0, steps, return_path=True)
+    assert ts.shape == (steps + 1,)
+    assert path.shape == reference.shape and path.dtype == reference.dtype
+    assert path.tobytes() == reference.tobytes()
+    assert parallel_transport(field, curve, v0, steps).tobytes() == reference[-1].tobytes()
+    path[...] = 0.0  # writable, and not a view of v0
+    assert v0.tobytes() == reference[0].tobytes()
+
+
+def _raising_kernel(*args):
+    raise AssertionError("the RK4 kernel was reached")
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_FIELDS))
+def test_vanishing_connection_skips_the_kernel(monkeypatch, name):
+    monkeypatch.setattr(transport, "rk4_transport_path", _raising_kernel)
+    field = _CONSTANT_FIELDS[name]
+    for curve in (antipodal_arc(E1, E3), great_circle(E2, E3), small_circle(E3, 0.4)):
+        assert holonomy(field, curve, 64) == 1.0
+
+
+@pytest.mark.parametrize("field", [P_LIN] + [exchange_line_field(m) for m in TRIPLET_MS])
+def test_moving_lines_reach_the_kernel(monkeypatch, field):
+    monkeypatch.setattr(transport, "rk4_transport_path", _raising_kernel)
+    with pytest.raises(AssertionError, match="kernel was reached"):
+        holonomy(field, antipodal_arc(E1, E3), 64)
+
+
+@pytest.mark.parametrize("name", sorted(_CONSTANT_FIELDS))
+def test_vanishing_connection_keeps_every_guard(monkeypatch, name):
+    monkeypatch.setattr(transport, "rk4_transport_path", _raising_kernel)
+    field = _CONSTANT_FIELDS[name]
+    arc = antipodal_arc(E1, E3)
+    v0 = field.frame(E1)
+    n = v0.shape[0]
+    with pytest.raises(GeometryError, match="at least"):
+        parallel_transport(field, arc, v0, MIN_STEPS - 1)
+    with pytest.raises(GeometryError, match="at most"):
+        parallel_transport(field, arc, v0, MAX_STEPS + 1)
+    off_fiber = np.roll(v0, 1) - v0
+    with pytest.raises(FiberMembershipError):
+        parallel_transport(field, arc, off_fiber, 64)
+    for bad_shape in (np.ones(n + 1), v0[None, :], v0[:, None]):
+        with pytest.raises(FiberMembershipError, match="shape"):
+            parallel_transport(field, arc, bad_shape, 64)
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        parallel_transport(field, _wobbly_great_circle(), field.frame(E1), 64)
+    with pytest.raises(GeometryError, match="leaves the unit sphere"):
+        holonomy(field, _wobbly_great_circle(), 64)
+    with pytest.raises(GeometryError, match="no loop"):
+        holonomy(field, restrict(arc, 0.0, 0.5), 64)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-300, 1e300])
+def test_frame_tests_parallelism_relative_to_w(scale):
+    # An exactly perpendicular w of any finite size spans the circle's plane.
+    ts = np.linspace(0.0, 1.0, 33)
+    arc = antipodal_arc(E1, [0.0, scale, 0.0])
+    assert np.array_equal(arc.position(ts), antipodal_arc(E1, E2).position(ts))
+    # 1e-13 rad from parallel is parallel at every size of w.
+    for tilt in (1e-13, 1e-14):
+        with pytest.raises(GeometryError, match="parallel"):
+            antipodal_arc(E1, [scale, tilt * scale, 0.0])
+    for bad in ([0.0, 0.0, 0.0], [-0.0, 0.0, 0.0], [np.nan, scale, 0.0], [np.inf, scale, 0.0]):
+        with pytest.raises(GeometryError, match="parallel"):
+            antipodal_arc(E1, bad)
+
+
+def test_frame_keeps_ordinary_inputs_bit_for_bit(rng):
+    for u, w in rng.standard_normal((200, 2, 3)):
+        uu = u / np.linalg.norm(u)
+        ww = w - (w @ uu) * uu
+        fu, fw = _frame(u, w)
+        assert np.array_equal(fu, uu) and np.array_equal(fw, ww / np.linalg.norm(ww))
