@@ -7,6 +7,11 @@ that scheme, moves the spin basis; the moved basis obeys the exchange rule
 |swap(M)(-r)> = -|M(r)>, is parallel for the projector connection, and its
 rank-1 projectors assemble the two-spin bundle downstairs into three copies
 of the nontrivial line bundle plus a trivial one.
+
+transported_basis and projector_Pm take a SpherePoint or an (..., 3) array.
+At a SpherePoint they read the point's floats and build no (..., 3) array;
+the result equals the matching row of the array call entry for entry
+(an exact zero may differ in sign).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config_space import SpherePoint, angles_of, antipode_angles
+from .config_space import TWO_PI, SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
 from .line_bundle import CHI_HARMONIC, ProjectorField, constant_projector_field, linear_line_field
 from .section_algebra import ScalarField, evaluate_fields
@@ -182,19 +187,47 @@ def transported_component_vector(theta, phi) -> np.ndarray:
     return out
 
 
+def _point_components(r: SpherePoint) -> tuple[complex, complex, complex]:
+    """The row of transported_component_vector at one point, from its floats.
+
+    numpy's arccos and arctan2 give angles_of's angles exactly; math's may
+    differ in the last ulp.
+    """
+    theta = float(np.arccos(min(1.0, max(-1.0, r.x3))))
+    phi = float(np.arctan2(r.x2, r.x1)) % TWO_PI
+    s = math.sin(theta) / SQRT2
+    c, sn = math.cos(phi), math.sin(phi)
+    return complex(-c, sn) * s, complex(math.cos(theta)), complex(c, sn) * s
+
+
+# (slot, k index, weight) of every nonzero entry of block_matrix(m); the weights are real.
+_BLOCK_ENTRIES = {
+    m: [(int(i), int(k), float(b[i, k].real)) for i, k in zip(*np.nonzero(b))] for m, b in _BLOCKS.items()
+}
+_SINGLET = singlet_vector()
+
+
 def transported_basis(j: int, m: int, r: SpherePoint | np.ndarray) -> np.ndarray:
     """The moved basis vector |j m (r)> at a point or an (..., 3) array, (..., 10).
 
-    Unit norm and never vanishing.
+    Unit norm and never vanishing.  A SpherePoint is read from its floats.
     """
-    xs = r.vec if isinstance(r, SpherePoint) else np.asarray(r, dtype=float)
+    point = isinstance(r, SpherePoint)
     if j == 0:
         if m != 0:
             raise GeometryError("the singlet label is (j=0, m=0)")
-        return np.broadcast_to(singlet_vector(), xs.shape[:-1] + (DIMENSION,)).copy()
+        if point:
+            return _SINGLET.copy()
+        return np.broadcast_to(_SINGLET, np.asarray(r, dtype=float).shape[:-1] + (DIMENSION,)).copy()
     if j != 1 or m not in TRIPLET_MS:
         raise GeometryError(f"invalid total-spin label (j={j}, m={m})")
-    theta, phi = angles_of(xs)
+    if point:
+        col = _point_components(r)
+        v = np.zeros(DIMENSION, dtype=complex)
+        for i, k, w in _BLOCK_ENTRIES[m]:
+            v[i] = col[k] * w
+        return v
+    theta, phi = angles_of(r)
     return transported_component_vector(theta, phi) @ block_matrix(m).T
 
 
@@ -278,8 +311,14 @@ def projector_P0() -> np.ndarray:
 
 
 def projector_Pm(r: SpherePoint | np.ndarray) -> np.ndarray:
-    """The moved projector U(r) P0 U(r)† on one triplet, (..., 3, 3); even and rank 1."""
-    theta, phi = angles_of(r.vec if isinstance(r, SpherePoint) else r)
+    """The moved projector U(r) P0 U(r)† on one triplet, (..., 3, 3); even and rank 1.
+
+    At a SpherePoint it is the dyad of the moved k=0 column, read from the point's floats.
+    """
+    if isinstance(r, SpherePoint):
+        col = np.array(_point_components(r))
+        return col[:, None] * col.conj()[None, :]
+    theta, phi = angles_of(r)
     u = exchange_block(theta, phi)
     return u @ projector_P0() @ u.conj().swapaxes(-1, -2)
 

@@ -411,13 +411,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     # The chart boundaries join the samples here: on them the overlaps, read
     # from chart_contains, must leave out the charts the point is not in.
-    cocycle_defect = 0
+    # A constant +1 is a cocycle too (the trivial bundle's), so the transitions
+    # must also carry each chart's fiber coordinate into the next: v_b = g_ab v_a.
+    cocycle_defect = 0.0
     for x in [*points[:512], *_CHART_BOUNDARY_POINTS]:
         q = project(x)
         inside = [a for a in CHART_INDICES if chart_contains(a, q)]
         sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
         for a, b, c in itertools.product(inside, repeat=3):
             cocycle_defect = max(cocycle_defect, abs(sign[a, b] * sign[b, c] - sign[a, c]))
+        z = (0.3 - 0.7j) * lb.chi(ChiVariant.ODD_LINEAR, q.rep)
+        fiber = {a: lb.local_trivialization(a, q, z) for a in inside}
+        for a, b in itertools.product(inside, repeat=2):
+            cocycle_defect = max(cocycle_defect, abs(fiber[b] - sign[a, b] * fiber[a]))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
     del points  # frees the point objects before the transports set the peak memory
 

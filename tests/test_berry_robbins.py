@@ -179,10 +179,26 @@ _SEAM = st.builds(
 _RANDOM = st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
     lambda v: np.linalg.norm(v) > 1e-3
 ).map(_unit)
+# The azimuth seam x2 = +-0.0, x1 <= 0, where atan2 returns +-pi.
+_AZIMUTH_SEAM = st.builds(
+    lambda x3, zero: np.array([-np.sqrt(1.0 - x3 * x3), zero, x3]),
+    st.floats(-1.0, 1.0),
+    st.sampled_from([0.0, -0.0]),
+)
+# |x3| just above 1 but within SPHERE_TOL, where arccos needs the clip.
+_PAST_POLE = st.builds(
+    lambda t, az, excess, sign: np.array([t * np.cos(az), t * np.sin(az), sign * (1.0 + excess)]),
+    st.floats(0.0, 1e-6),
+    st.floats(0.0, 2 * np.pi),
+    st.floats(0.0, 4e-10),
+    st.sampled_from([-1.0, 1.0]),
+)
 _UNIT_VECTORS = st.one_of(
     st.sampled_from([np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]),
     _NEAR_POLE,
     _SEAM,
+    _AZIMUTH_SEAM,
+    _PAST_POLE,
     _RANDOM,
 )
 
@@ -199,6 +215,24 @@ def test_moved_basis_array_forms_match_scalar_bitwise(vs):
         for m in TRIPLET_MS:
             assert np.array_equal(transported_basis(1, m, x), moved[m][i])
         assert np.array_equal(transported_basis(0, 0, x), singlet_vector())
+
+
+def test_scalar_moved_basis_checks_labels_and_returns_fresh_arrays():
+    x = SpherePoint.from_direction([0.3, -0.5, 0.7])
+    for j, m in ((0, 1), (2, 0), (1, 2)):
+        for r in (x, x.vec, x.vec[None]):
+            with pytest.raises(GeometryError):
+                transported_basis(j, m, r)
+    returned = [transported_basis(j, m, x) for j, m in ((1, -1), (1, 0), (1, 1), (0, 0))]
+    returned.append(projector_Pm(x))
+    before = [a.copy() for a in returned]
+    for a in returned:
+        a[...] = 7.0
+    again = [transported_basis(j, m, x) for j, m in ((1, -1), (1, 0), (1, 1), (0, 0))]
+    again.append(projector_Pm(x))
+    for a, b in zip(again, before):
+        assert np.array_equal(a, b)
+    assert np.array_equal(transported_basis(0, 0, x.vec), singlet_vector())
 
 
 def test_moved_basis_array_shapes(points):

@@ -7,7 +7,7 @@ import pytest
 from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles import berry_robbins as br
-from spinbundles import config_space, experiments
+from spinbundles import config_space, experiments, line_bundle
 from spinbundles.config_space import sample_sphere
 from spinbundles.section_algebra import (
     coordinate_field,
@@ -258,6 +258,14 @@ def test_swapped_parity_split_fails_the_idempotence_check(monkeypatch):
     monkeypatch.setattr(experiments, "parity_decompose", lambda a: split(a)[::-1])
     report = run_suite(SuiteConfig(**SMALL))
     assert {c.check_id for c in report.checks if not c.passed} == {"sections.parity-idempotent"}
+
+
+def test_constant_transition_fails_the_cocycle_check(monkeypatch):
+    # g = +1 is a cocycle too (the trivial bundle's), so only tying the
+    # transitions to the local trivializations tells it from sign(x_a x_b).
+    monkeypatch.setattr(line_bundle, "transition", lambda alpha, beta, q: 1)
+    report = run_suite(SuiteConfig(**SMALL))
+    assert {c.check_id for c in report.checks if not c.passed} == {"charts.cocycle"}
 
 
 def test_check_records_have_anchors(small_report):
