@@ -27,7 +27,7 @@ import numpy as np
 from .config_space import TWO_PI, SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
 from .line_bundle import CHI_HARMONIC, ProjectorField, constant_projector_field, linear_line_field
-from .section_algebra import ScalarField, evaluate_fields
+from .section_algebra import ScalarField, evaluate_fields, zero_field
 from .transport import Curve
 
 DIMENSION = 10
@@ -373,8 +373,6 @@ def _labels(basis: str) -> tuple[tuple[int, int], ...]:
 
 
 def zero_wavefunction(basis: str = "product") -> TwoSpinWaveFunction:
-    from .section_algebra import zero_field
-
     return TwoSpinWaveFunction({lbl: zero_field() for lbl in _labels(basis)}, basis)
 
 

@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from .berry_robbins import exchange_block, exchange_rule_residual
+from .berry_robbins import exchange_block, exchange_line_field, exchange_rule_residual
 from .config_space import SpherePoint, sample_sphere
 from .errors import ConfigError, GeometryError
 from .experiments import (
@@ -192,8 +192,6 @@ def _make_bundle(spec: str):
     if spec == "xi-plus":
         return ChiVariant.EVEN_CONSTANT.field
     if spec.startswith("br:"):
-        from .berry_robbins import exchange_line_field
-
         m = int(spec.split(":", 1)[1])
         return exchange_line_field(m)
     raise ValueError(f"unknown bundle spec {spec!r}")

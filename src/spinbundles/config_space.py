@@ -167,15 +167,20 @@ def chart_map(alpha: int, q: ProjectivePoint) -> tuple[float, float]:
 def chart_inverse(alpha: int, uv) -> ProjectivePoint:
     """Inverse of chart_map: insert 1 at slot alpha, normalize, project.
 
-    Any finite pair is a chart coordinate; hypot normalizes without overflow.
+    Any finite pair is a chart coordinate; where its norm overflows, (1, u, w)
+    is first scaled by an exact power of two.
     """
     _check_alpha(alpha)
-    u, w = float(uv[0]), float(uv[1])
+    one, u, w = 1.0, float(uv[0]), float(uv[1])
     if not (math.isfinite(u) and math.isfinite(w)):
         raise GeometryError(f"chart coordinates must be finite, got ({u!r}, {w!r})")
-    n = math.hypot(1.0, u, w)
+    n = math.hypot(one, u, w)
+    if n == math.inf:
+        k = math.frexp(max(abs(u), abs(w)))[1]
+        one, u, w = math.ldexp(one, -k), math.ldexp(u, -k), math.ldexp(w, -k)
+        n = math.hypot(one, u, w)
     v = [u / n, w / n]
-    v.insert(alpha - 1, 1.0 / n)
+    v.insert(alpha - 1, one / n)
     return project(SpherePoint(*v))
 
 

@@ -367,11 +367,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     # -- base space and charts ----------------------------------------------
     points = [SpherePoint(*v) for v in xs.tolist()]
+    qs = [project(x) for x in points]
     flipped = np.array([(y.x1, y.x2, y.x3) for y in map(antipode, points)])
     dist = np.linalg.norm(xs - flipped, axis=1)
     record("base.antipode-free", "|x - (-x)| = 2: the flip acts freely", np.abs(dist - 2).max(), tol_a)
 
-    reps = np.array([project(x).vec for x in points[:256]])
+    reps = np.array([q.vec for q in qs[:256]])
     reps_neg = np.array([project(-x).vec for x in points[:256]])
     record(
         "base.project-antipode",
@@ -380,7 +381,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         0.0,
     )
 
-    phi = np.array([[partition_phi(a, q) for a in CHART_INDICES] for q in map(project, points)])
+    phi = np.array([[partition_phi(a, q) for a in CHART_INDICES] for q in qs])
     record(
         "charts.partition-unity",
         "sum_a phi_a([x])^2 = 1",
@@ -397,8 +398,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     )
 
     worst = 0.0
-    for x in points[:128]:
-        q = project(x)
+    for q in qs[:128]:
         inside = ATLAS.charts_containing(q)
         direct = {b_idx: chart_map(b_idx, q) for b_idx in inside}
         for a_idx in inside:
@@ -414,8 +414,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     # A constant +1 is a cocycle too (the trivial bundle's), so the transitions
     # must also carry each chart's fiber coordinate into the next: v_b = g_ab v_a.
     cocycle_defect = 0.0
-    for x in [*points[:512], *_CHART_BOUNDARY_POINTS]:
-        q = project(x)
+    for q in [*qs[:512], *map(project, _CHART_BOUNDARY_POINTS)]:
         inside = [a for a in CHART_INDICES if chart_contains(a, q)]
         sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
         for a, b, c in itertools.product(inside, repeat=3):
@@ -425,7 +424,6 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         for a, b in itertools.product(inside, repeat=2):
             cocycle_defect = max(cocycle_defect, abs(fiber[b] - sign[a, b] * fiber[a]))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
-    del points  # frees the point objects before the transports set the peak memory
 
     # -- projector fields ------------------------------------------------------
     proj_defect = 0.0
@@ -444,8 +442,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     g = GroupElement(-1)
     worst = 0.0
     actions = (lb.tau_plus(), lb.tau_minus(), lb.tau_tilde(), lb.tau_prime())
-    for v, lam in zip(xs[:64], np.linspace(-2, 2, 64)):
-        x = SpherePoint.from_vec(v)
+    for x, lam in zip(points[:64], np.linspace(-2, 2, 64)):
         for action in actions:
             if action.label in (lb.ActionLabel.TAU_TILDE, lb.ActionLabel.TAU_PRIME):
                 vec = (lam + 0.5j) * lb.chi(action.chi_variant, x)
@@ -462,11 +459,10 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     record("bundle.action-involution", "tau_g tau_g = id for g^2 = e", worst, 1e-14)
 
     worst = 0.0
-    for v, lam in zip(xs[:1000], rng.standard_normal(1000) + 1j * rng.standard_normal(1000)):
-        x = SpherePoint.from_vec(v)
+    for x, lam in zip(points[:1000], rng.standard_normal(1000) + 1j * rng.standard_normal(1000)):
         z = lam * lb.chi(ChiVariant.ODD_LINEAR, x)
         _, moved = lb.group_act(lb.tau_tilde(), g, x, z)
-        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-v, moved)
+        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-x.vec, moved)
         worst = max(worst, abs(coeff - (-lam)))
     record(
         "bundle.tilde-equals-minus",
@@ -474,6 +470,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         worst,
         tol_a,
     )
+    del points, qs  # frees the point objects before the transports set the peak memory
 
     # -- section algebra -------------------------------------------------------
     # Each random-polynomial check runs on one family: the coefficients of

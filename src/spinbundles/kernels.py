@@ -1,8 +1,10 @@
-"""Hot numeric kernel: fixed-step RK4 for small complex linear ODEs.
+"""Hot numeric kernel: fixed-step RK4 for the projector transport ODE.
 
 The transport equation dv/dt = A(t) v is integrated with the classical
-4th-order scheme.  The generator is given by its rank-2 factors A = F G^H,
-sampled at every node and midpoint, and is never formed as an n x n matrix.
+4th-order scheme.  The kernel is handed the fiber frame u and its horizontal
+rate w at every node and midpoint; the generator A = |w><u| - |u><w| is
+F G^H with the rank-2 factors F = [w, -u] and G = [u, w], which the kernel
+lays out itself, and it is never formed as an n x n matrix.
 For a linear ODE one RK4 step is v -> T_i v, with T_i a matrix polynomial in
 the step's three samples; every product of generators in it has a 2x2 core
 G_x^H F_y, so the increment D_i = T_i - I is one n x 6 by 6 x n product
@@ -51,17 +53,18 @@ def _rows(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     return k[:, 0] * g[0] + k[:, 1] * g[1]
 
 
-def _step_increments(f: np.ndarray, g: np.ndarray, h: float) -> np.ndarray:
-    # D_i = T_i - I for every step from the factors A = F G^H at the step's
-    # nodes 0, m, 1.  Each product of generators has a 2x2 core C_xy = G_x^H F_y,
+def _step_increments(u: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
+    # D_i = T_i - I for every step from the factors F = [w, -u], G = [u, w]
+    # of A = F G^H at the step's nodes 0, m, 1.  Each product of generators
+    # has a 2x2 core C_xy = G_x^H F_y,
     # so D = (h/6) [F_0 F_m F_1] K [G_0 G_m G_1]^H with the 6x6 block-triangular
     #   K = [[I, 0, 0], [K_m0, 4I + h C_mm, 0], [h^3/4 C_1m C_mm C_m0, K_1m, I]],
     #   K_m0 = h C_m0 + h^2/2 C_mm C_m0,  K_1m = h C_1m + h^2/2 C_1m C_mm.
     # The core algebra runs on per-step scalar arrays; only the last product
     # is n x n.
-    ft = np.ascontiguousarray(f.transpose(0, 2, 1))
-    gh = np.conjugate(g.transpose(2, 0, 1), order="C")
-    fw = _windows(ft)
+    fw = _windows(np.stack([w, -u], axis=1))  # rows of F^T = [w, -u] per node
+    gh = np.stack([u, w])  # rows of G^H = [u, w]^H per node
+    np.conjugate(gh, out=gh)
     g0, gm, g1 = gh[:, 0:-1:2], gh[:, 1::2], gh[:, 2::2]
     c = np.empty((3, 2, 2, fw.shape[0], 1), dtype=np.complex128)
     for x, (gx, y) in enumerate(((gm, 0), (gm, 2), (g1, 2))):
@@ -104,24 +107,24 @@ def _blocked_scan(d: np.ndarray, v0: np.ndarray) -> np.ndarray:
     return path.reshape(-1, n)[:steps]
 
 
-def rk4_transport_path(f: np.ndarray, g: np.ndarray, h: float, v0: np.ndarray) -> np.ndarray:
-    """Integrate dv/dt = A(t) v, returning the (steps + 1, n) node trajectory.
+def rk4_transport_path(u: np.ndarray, w: np.ndarray, h: float, v0: np.ndarray) -> np.ndarray:
+    """Integrate dv/dt = (|w><u| - |u><w|) v, returning the (steps + 1, n) node trajectory.
 
-    The generator is given by its factors at every node and midpoint:
-    A = f @ g^H with f and g of shape (2*steps + 1, n, 2).
+    u is the fiber frame and w its horizontal rate at every node and
+    midpoint, both of shape (2*steps + 1, n).
     """
-    f = np.asarray(f, dtype=np.complex128)
-    g = np.asarray(g, dtype=np.complex128)
-    if f.ndim != 3 or f.shape[2] != 2 or f.shape[0] % 2 != 1:
-        raise ValueError("generator factors must have shape (2*steps + 1, n, 2)")
-    if g.shape != f.shape:
-        raise ValueError("the two generator factors must have the same shape")
+    u = np.asarray(u, dtype=np.complex128)
+    w = np.asarray(w, dtype=np.complex128)
+    if u.ndim != 2 or u.shape[0] % 2 != 1:
+        raise ValueError("the frame must have shape (2*steps + 1, n)")
+    if w.shape != u.shape:
+        raise ValueError("the frame and its rate must have the same shape")
     v0 = np.asarray(v0, dtype=np.complex128)
-    if v0.shape != f.shape[1:2]:
-        raise ValueError("start vector must have shape (n,) for (.., n, 2) factors")
-    steps = (f.shape[0] - 1) // 2
-    out = np.empty((steps + 1, f.shape[1]), dtype=np.complex128)
+    if v0.shape != u.shape[1:]:
+        raise ValueError("start vector must have shape (n,) for an (.., n) frame")
+    steps = (u.shape[0] - 1) // 2
+    out = np.empty((steps + 1, u.shape[1]), dtype=np.complex128)
     out[0] = v0
     if steps:
-        out[1:] = _blocked_scan(_step_increments(f, g, float(h)), v0)
+        out[1:] = _blocked_scan(_step_increments(u, w, float(h)), v0)
     return out

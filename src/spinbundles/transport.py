@@ -7,16 +7,15 @@ field carries its fiber frame u(x) and the frame's rate du/dt along a curve.
 Transport along a curve solves dv/dt = [Pdot, P] v from a start vector that
 the field's fiber_coordinate accepts, over positions on the unit sphere.
 The generator is |w><u| - |u><w|, with w = du - <u|du> u the horizontal part
-of du, and it is handed to the RK4 kernel as its rank-2 frame factors
-F = [w, -u] and G = [u, w] (generator = F G^H); it is never formed as an
-n x n matrix.  Where w vanishes at every node the connection is zero, and
-transport returns its start without integrating.  The commutator form keeps
-v in the moving fiber and, because the generator is anti-Hermitian,
-preserves the norm.  For even fields the fiber lines over x and -x coincide,
-so curves that close on the sphere and curves that end at the antipode both
-descend to loops downstairs, and the holonomy is the ratio of the fiber
-coordinates before and after.  A curve is only its path: holonomy reads
-whether and how it closes from its endpoints.
+of du; the RK4 kernel is handed u and w at every node and midpoint and never
+forms the generator as an n x n matrix.  Where w vanishes at every node the
+connection is zero, and transport returns its start without integrating.
+The commutator form keeps v in the moving fiber and, because the generator
+is anti-Hermitian, preserves the norm.  For even fields the fiber lines over
+x and -x coincide, so curves that close on the sphere and curves that end at
+the antipode both descend to loops downstairs, and the holonomy is the ratio
+of the fiber coordinates before and after.  A curve is only its path:
+holonomy reads whether and how it closes from its endpoints.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .line_bundle import constant_projector_field, grassmann_field  # noqa: F401
 
 DEFAULT_STEPS = 4096
 MIN_STEPS = 16
-MAX_STEPS = 65536  # bounds the generator factors, 2 * steps + 1 nodes
+MAX_STEPS = 65536  # bounds the frame arrays, 2 * steps + 1 nodes
 ENDPOINT_TOL = 1e-10  # how far a loop's end may be from its start or its antipode
 
 
@@ -168,29 +167,16 @@ def _horizontal_frame(
     return u, du - np.sum(u.conj() * du, axis=-1, keepdims=True) * u
 
 
-def _generator_factors(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # [Pdot, P] = |w><u| - |u><w| = F G^H with F = [w, -u] and G = [u, w].
-    # Each factor has shape (2*steps + 1, n, 2); both are views of
-    # (.., 2, n) arrays, the layout the kernel reads.
-    f = np.stack([w, -u], axis=-2).swapaxes(-1, -2)
-    g = np.stack([u, w], axis=-2).swapaxes(-1, -2)
-    return f, g
-
-
 def parallel_transport(
-    field: ProjectorField,
-    curve: Curve,
-    v0: np.ndarray,
-    steps: int = DEFAULT_STEPS,
-    return_path: bool = False,
-):
-    """Transport v0 along the curve with the projector connection.
+    field: ProjectorField, curve: Curve, v0: np.ndarray, steps: int = DEFAULT_STEPS
+) -> np.ndarray:
+    """Transport v0 along the curve with the projector connection; the endpoint v(1).
 
     Solves dv/dt = [Pdot, P] v with fixed-step classical RK4.  v0 must lie in
     the fiber at the start point; the result stays in the moving fiber and
     keeps its norm up to the integration error.  Every node must be on the sphere.
-    Where w vanishes at every node (a constant line) the path is v0 at every
-    node, without integrating.
+    Where w vanishes at every node (a constant line) the result is a copy of
+    v0, without integrating.
     """
     if steps < MIN_STEPS:
         raise GeometryError(f"steps must be at least {MIN_STEPS}")
@@ -199,13 +185,9 @@ def parallel_transport(
     v0 = np.asarray(v0, dtype=complex)
     field.fiber_coordinate(curve(0.0), v0)
     u, w = _horizontal_frame(field, curve, steps)
-    if w.any():
-        path = rk4_transport_path(*_generator_factors(u, w), 1.0 / steps, v0)
-    else:  # a vanishing connection moves nothing: every RK4 increment is exactly 0
-        path = np.tile(v0, (steps + 1, 1))
-    if return_path:
-        return np.linspace(0.0, 1.0, steps + 1), path
-    return path[-1]
+    if not w.any():  # a vanishing connection moves nothing: every RK4 increment is exactly 0
+        return v0.copy()
+    return rk4_transport_path(u, w, 1.0 / steps, v0)[-1]
 
 
 def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) -> complex:
@@ -222,7 +204,7 @@ def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) ->
     p_start, p_end = field.evaluate(ends)
     if not np.abs(p_end - p_start).max() <= ENDPOINT_TOL:
         raise GeometryError("the fiber lines at the two ends of the loop differ")
-    v0 = field.frame(curve.point(0.0))
+    v0 = field.vector(x0)
     v1 = parallel_transport(field, curve, v0, steps)
     return complex(np.vdot(v0, v1) / np.vdot(v0, v0))
 

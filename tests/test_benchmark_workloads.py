@@ -11,10 +11,18 @@ from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-_SPEC = importlib.util.spec_from_file_location("perfbench_workloads", _PATH)
-workloads = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(workloads)
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load("workloads")
+layertrace = _load("layertrace")
 
 
 def test_verify_warm_up_runs():
@@ -55,3 +63,20 @@ def test_pointwise_op_passes_its_gate_at_chart_seams(x):
     payload = workloads._run_pointwise(op, workloads.cs.SpherePoint.from_vec(op["x"]))
     (attempted, failed), ratios = workloads._gate_pointwise(op, payload)
     assert attempted == 1 and failed == 0, ratios
+
+
+def test_kernel_meter_reads_the_kernel_calls():
+    # The tracer's kernel meter reads the matrix size and the step count from
+    # the kernel's first positional argument; the singlet's connection
+    # vanishes, so its transport never reaches the kernel.
+    tp, lb, br = workloads.tp, workloads.lb, workloads.br
+    tracer = layertrace.Tracer()
+    tracer.install()
+    try:
+        tracer.recording = True
+        arc = tp.antipodal_arc([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+        for field in (lb.grassmann_field(), br.exchange_line_field(1), br.singlet_field()):
+            tp.holonomy(field, arc, 64)
+    finally:
+        tracer.uninstall()
+    assert dict(tracer.kernel_steps) == {3: 64, 10: 64}

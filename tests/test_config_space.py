@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from spinbundles.config_space import (
     ATLAS,
     CHART_INDICES,
     COORD_EPS,
+    SPHERE_TOL,
     GroupElement,
     IDENTITY,
     SWAP,
@@ -220,6 +222,26 @@ def test_chart_inverse_accepts_any_finite_pair():
     for uv in ((math.inf, 0.0), (0.0, -math.inf), (math.nan, 1.0)):
         with pytest.raises(GeometryError, match="finite"):
             chart_inverse(2, uv)
+
+
+_DBL_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("alpha", CHART_INDICES)
+@pytest.mark.parametrize(
+    "uv",
+    [(s * _DBL_MAX, t * _DBL_MAX) for s in (1, -1) for t in (1, -1)]
+    + [(_DBL_MAX, 0.0), (1.7e308, 1.7e308)],
+)
+def test_chart_inverse_scales_pairs_whose_norm_overflows(alpha, uv):
+    # hypot(1, u, w) is inf for all but (DBL_MAX, 0), so (1, u, w) is scaled first.
+    p = chart_inverse(alpha, uv).rep
+    assert abs(p.x1 * p.x1 + p.x2 * p.x2 + p.x3 * p.x3 - 1.0) <= SPHERE_TOL
+    u, w = uv[0] / _DBL_MAX, uv[1] / _DBL_MAX
+    expected = [u / math.hypot(u, w), w / math.hypot(u, w)]
+    expected.insert(alpha - 1, 0.0)
+    got = np.array([p.x1, p.x2, p.x3])
+    assert min(np.abs(got - expected).max(), np.abs(got + expected).max()) <= 1e-15
 
 
 @pytest.mark.parametrize("alpha", [1.0, True, False, np.float64(2.0), "1", None, 0, 4, np.int64(4)])

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles import berry_robbins as br
-from spinbundles import config_space, experiments, line_bundle
+from spinbundles import config_space, kernels, line_bundle, section_algebra
 from spinbundles.config_space import sample_sphere
 from spinbundles.section_algebra import (
     coordinate_field,
@@ -243,29 +244,96 @@ def test_fault_injection_fails_exactly_its_family(cached_suite, target):
     assert not report.all_pass
 
 
-def test_identity_antipode_fails_the_action_involution(monkeypatch):
-    # tau_g tau_g = id holds for any involution, so only the check that the
-    # action moves x to -x catches a group action that fixes the base point.
-    monkeypatch.setattr(config_space, "antipode", lambda p: p)
+def _sign_flipped_singlet(singlet):
+    def mutant():
+        v = singlet()
+        v[3] = -v[3]
+        return v
+
+    return mutant
+
+
+# Each mutant of a library function, the checks of the 256/256 suite that it
+# fails, and why they are the ones that see it:
+#   antipode: tau_g tau_g = id holds for any involution, so only the checks
+#     that the flip moves x to -x catch an action that fixes the base point;
+#   transition = +1: a constant +1 is a cocycle too (the trivial bundle's), so
+#     only tying the transitions to the local trivializations tells it from
+#     sign(x_a x_b);
+#   parity_decompose: idempotence, complementarity and reconstruction are
+#     symmetric in the two parts, so only the parity of each part tells
+#     (even, odd) from (odd, even).
+MUTANTS = {
+    "partition_phi-halved": (
+        config_space, "partition_phi", lambda f: lambda a, q: 0.5 * f(a, q),
+        {"charts.cover", "charts.partition-unity"},
+    ),
+    "antipode-identity": (
+        config_space, "antipode", lambda f: lambda p: p,
+        {"base.antipode-free", "bundle.action-involution"},
+    ),
+    "chart_contains-true": (
+        config_space, "chart_contains", lambda f: lambda a, q: True, {"charts.cocycle"},
+    ),
+    "chart_map-swapped": (
+        config_space, "chart_map", lambda f: lambda a, q: f(a, q)[::-1],
+        {"charts.transition-geometry"},
+    ),
+    "chart_inverse-negated-u": (
+        config_space, "chart_inverse", lambda f: lambda a, uv: f(a, (-uv[0], uv[1])),
+        {"charts.transition-geometry"},
+    ),
+    "transition-sign-flipped": (
+        line_bundle, "transition", lambda f: lambda a, b, q: -f(a, b, q), {"charts.cocycle"},
+    ),
+    "transition-constant": (
+        line_bundle, "transition", lambda f: lambda a, b, q: 1, {"charts.cocycle"},
+    ),
+    "group_act-ignores-g": (
+        line_bundle, "group_act", lambda f: lambda act, g, x, v: f(act, config_space.IDENTITY, x, v),
+        {"bundle.action-involution"},
+    ),
+    "parity_decompose-swapped": (
+        section_algebra, "parity_decompose", lambda f: lambda a: f(a)[::-1],
+        {"sections.parity-idempotent"},
+    ),
+    "antisymmetrize-skipped": (
+        br, "antisymmetrize", lambda f: lambda family: family, {"spin.relation-consistency"},
+    ),
+    "singlet_vector-sign": (
+        br, "singlet_vector", _sign_flipped_singlet,
+        {"exchange.rule-total-basis", "exchange.singlet-fixed"},
+    ),
+    "invariance_residual-zero": (
+        section_algebra, "invariance_residual", lambda f: lambda sigma, action, points: 0.0,
+        {"experiment.invariance-needs-odd", "sections.invariance-detects"},
+    ),
+    "rk4-increments-scaled": (
+        kernels, "_step_increments", lambda f: lambda u, w, h: 1.2 * f(u, w, h),
+        {
+            "br.holonomy-decomposition",
+            "br.transport-crosscheck",
+            "holonomy.antipodal-nontrivial",
+            "holonomy.contractible",
+            "holonomy.order4-convergence",
+            "holonomy.squared-antipodal",
+            "transport.fiber-retention",
+            "transport.norm-preservation",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_fails_exactly_its_checks(monkeypatch, name):
+    home, attr, make, expected = MUTANTS[name]
+    original = getattr(home, attr)
+    mutant = make(original)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "spinbundles" and getattr(module, attr, None) is original:
+            monkeypatch.setattr(module, attr, mutant)
     report = run_suite(SuiteConfig(**SMALL))
-    assert {c.check_id for c in report.checks if not c.passed} == {"bundle.action-involution"}
-
-
-def test_swapped_parity_split_fails_the_idempotence_check(monkeypatch):
-    # Idempotence, complementarity and reconstruction are symmetric in the two
-    # parts, so only the parity of each part tells (even, odd) from (odd, even).
-    split = experiments.parity_decompose
-    monkeypatch.setattr(experiments, "parity_decompose", lambda a: split(a)[::-1])
-    report = run_suite(SuiteConfig(**SMALL))
-    assert {c.check_id for c in report.checks if not c.passed} == {"sections.parity-idempotent"}
-
-
-def test_constant_transition_fails_the_cocycle_check(monkeypatch):
-    # g = +1 is a cocycle too (the trivial bundle's), so only tying the
-    # transitions to the local trivializations tells it from sign(x_a x_b).
-    monkeypatch.setattr(line_bundle, "transition", lambda alpha, beta, q: 1)
-    report = run_suite(SuiteConfig(**SMALL))
-    assert {c.check_id for c in report.checks if not c.passed} == {"charts.cocycle"}
+    assert {c.check_id for c in report.failed()} == expected
 
 
 def test_check_records_have_anchors(small_report):

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from spinbundles import kernels
 
 
-def _sequential_rk4(f, g, h, v0):
+def _sequential_rk4(u, w, h, v0):
     """Reference: one classical RK4 step at a time, as matrix-vector products
-    with the dense generator grid f @ g^H."""
-    gen = f @ g.conj().swapaxes(-1, -2)
+    with the dense generator grid |w><u| - |u><w|."""
+    gen = w[:, :, None] * u.conj()[:, None, :] - u[:, :, None] * w.conj()[:, None, :]
     v = np.asarray(v0, dtype=complex).copy()
     steps = (gen.shape[0] - 1) // 2
     out = np.empty((steps + 1, v.shape[0]), dtype=complex)
@@ -27,18 +27,16 @@ def _sequential_rk4(f, g, h, v0):
     return out
 
 
-def _random_factors(rng, n, steps, antihermitian=True):
-    """Factors of shape (2*steps + 1, n, 2): frame form (w, -u), (u, w), or independent."""
+def _random_frame(rng, n, steps):
+    """A frame u and a rate w, each of shape (2*steps + 1, n), with random complex entries."""
     shape = (2 * steps + 1, n)
-    u, w, a, b = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(4))
-    if antihermitian:
-        return np.stack([w, -u], axis=-1), np.stack([u, w], axis=-1)
-    return np.stack([u, w], axis=-1), np.stack([a, b], axis=-1)
+    u, w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+    return u, w
 
 
-def _assert_matches_reference(f, g, h, v0):
-    path = kernels.rk4_transport_path(f, g, h, v0)
-    reference = _sequential_rk4(f, g, h, v0)
+def _assert_matches_reference(u, w, h, v0):
+    path = kernels.rk4_transport_path(u, w, h, v0)
+    reference = _sequential_rk4(u, w, h, v0)
     assert path.shape == reference.shape
     scale = np.maximum(1.0, np.linalg.norm(reference, axis=1))
     assert (np.linalg.norm(path - reference, axis=1) / scale).max() < 1e-13
@@ -46,69 +44,64 @@ def _assert_matches_reference(f, g, h, v0):
 
 
 def test_zero_generator_is_exact_identity(rng):
-    # Frame factors of a line that does not move: w = 0, u arbitrary.
+    # The frame of a line that does not move: w = 0, u arbitrary.
     u = rng.standard_normal((2 * 32 + 1, 3)) + 1j * rng.standard_normal((2 * 32 + 1, 3))
     w = np.zeros_like(u)
     v0 = np.array([1.0, 2.0 - 1.0j, 3.0])
-    path = kernels.rk4_transport_path(np.stack([w, -u], -1), np.stack([u, w], -1), 1.0 / 32, v0)
+    path = kernels.rk4_transport_path(u, w, 1.0 / 32, v0)
     assert np.array_equal(path, np.broadcast_to(v0, path.shape))
 
 
 def test_path_shape_and_start():
-    f = np.zeros((2 * 16 + 1, 2, 2), dtype=complex)
+    u = np.zeros((2 * 16 + 1, 2), dtype=complex)
     v0 = np.array([1.0, 0.0], dtype=complex)
-    path = kernels.rk4_transport_path(f, f, 1.0 / 16, v0)
+    path = kernels.rk4_transport_path(u, u, 1.0 / 16, v0)
     assert path.shape == (17, 2)
     assert np.array_equal(path[0], v0)
 
 
 def test_rejects_malformed_grid():
-    good = np.zeros((5, 3, 2), dtype=complex)
-    for f, g, v0 in (
-        (np.zeros((4, 3, 2)), np.zeros((4, 3, 2)), np.zeros(3)),  # even node count
-        (good, np.zeros((7, 3, 2)), np.zeros(3)),  # factors of different shapes
-        (good, np.zeros((5, 4, 2)), np.zeros(3)),
-        (np.zeros((5, 3, 3)), np.zeros((5, 3, 3)), np.zeros(3)),  # last axis not 2
-        (np.zeros((5, 3)), np.zeros((5, 3)), np.zeros(3)),
+    good = np.zeros((5, 3), dtype=complex)
+    for u, w, v0 in (
+        (np.zeros((4, 3)), np.zeros((4, 3)), np.zeros(3)),  # even node count
+        (good, np.zeros((7, 3)), np.zeros(3)),  # frame and rate of different shapes
+        (good, np.zeros((5, 4)), np.zeros(3)),
+        (np.zeros((5, 3, 2)), np.zeros((5, 3, 2)), np.zeros(3)),  # not (nodes, n)
+        (np.zeros(5), np.zeros(5), np.zeros(3)),
         (good, good, np.zeros(2)),  # wrong start length
     ):
         with pytest.raises(ValueError):
-            kernels.rk4_transport_path(f, g, 0.5, v0)
+            kernels.rk4_transport_path(u, w, 0.5, v0)
 
 
 def test_path_matches_sequential_reference(rng):
     for n, steps in ((4, 50), (3, 4096), (10, 1031)):
-        f, g = _random_factors(rng, n, steps)
+        u, w = _random_frame(rng, n, steps)
         v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        _assert_matches_reference(f, g, 1.0 / steps, v0)
+        _assert_matches_reference(u, w, 1.0 / steps, v0)
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 10),
-    steps=st.integers(0, 300),
-    antihermitian=st.booleans(),
-)
-@example(seed=0, n=4, steps=0, antihermitian=False)
-@example(seed=1, n=3, steps=1, antihermitian=True)
-@example(seed=2, n=10, steps=2, antihermitian=False)
-@example(seed=3, n=3, steps=97, antihermitian=True)
-@example(seed=4, n=10, steps=293, antihermitian=False)
-@example(seed=5, n=1, steps=290, antihermitian=True)
-def test_blocked_scan_matches_sequential_reference(seed, n, steps, antihermitian):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10), steps=st.integers(0, 300))
+@example(seed=0, n=4, steps=0)
+@example(seed=1, n=3, steps=1)
+@example(seed=2, n=10, steps=2)
+@example(seed=3, n=3, steps=97)
+@example(seed=4, n=10, steps=293)
+@example(seed=5, n=1, steps=290)
+def test_blocked_scan_matches_sequential_reference(seed, n, steps):
     # Primes and non-squares leave the last block of the scan padded.
     rng = np.random.default_rng(seed)
-    f, g = _random_factors(rng, n, steps, antihermitian)
+    u, w = _random_frame(rng, n, steps)
     v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     h = 1.0 / max(steps, 1)
-    path = _assert_matches_reference(f, g, h, v0)
+    path = _assert_matches_reference(u, w, h, v0)
     assert path.shape == (steps + 1, n)
     assert np.array_equal(path[0], v0)
-    flat = kernels.rk4_transport_path(np.zeros_like(f), np.zeros_like(g), h, v0)
+    flat = kernels.rk4_transport_path(u, np.zeros_like(w), h, v0)
     assert np.array_equal(flat, np.broadcast_to(v0, flat.shape))
     with pytest.raises(ValueError):
-        kernels.rk4_transport_path(f, g, h, np.ones(n + 1))
+        kernels.rk4_transport_path(u, w, h, np.ones(n + 1))
 
 
 def test_norm_preserved_for_smooth_antihermitian_generator(rng):
@@ -120,6 +113,5 @@ def test_norm_preserved_for_smooth_antihermitian_generator(rng):
     u = np.cos(2 * np.pi * ts) * a + np.sin(2 * np.pi * ts) * b
     w = np.sin(2 * np.pi * ts) * c + np.cos(4 * np.pi * ts) * d
     v0 = np.array([1.0, 1.0j, -0.5])
-    f, g = np.stack([w, -u], -1), np.stack([u, w], -1)
-    out = kernels.rk4_transport_path(f, g, 1.0 / steps, v0)[-1]
+    out = kernels.rk4_transport_path(u, w, 1.0 / steps, v0)[-1]
     assert abs(np.linalg.norm(out) - np.linalg.norm(v0)) < 1e-8

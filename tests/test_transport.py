@@ -33,7 +33,7 @@ from spinbundles.transport import (
     reverse,
     small_circle,
 )
-from spinbundles.transport import _frame, _generator_factors, _horizontal_frame
+from spinbundles.transport import _frame, _horizontal_frame
 
 E1 = SpherePoint(1.0, 0.0, 0.0)
 E2 = SpherePoint(0.0, 1.0, 0.0)
@@ -51,6 +51,12 @@ _LINEAR_FIELDS = {
         for m in TRIPLET_MS
     },
 }
+
+
+def _path(field, curve, v0, steps):
+    """Node times and the transport's node trajectory: the kernel on the curve's horizontal frame."""
+    path = rk4_transport_path(*_horizontal_frame(field, curve, steps), 1.0 / steps, v0)
+    return np.linspace(0.0, 1.0, steps + 1), path
 
 
 def _rate_reference(c, xs, vs):
@@ -127,7 +133,7 @@ def test_transport_rejects_bad_input():
 def test_transport_keeps_moving_fiber():
     arc = antipodal_arc(E1, E3)
     v0 = chi(ChiVariant.ODD_LINEAR, E1)
-    ts, path = parallel_transport(P_LIN, arc, v0, 512, return_path=True)
+    ts, path = _path(P_LIN, arc, v0, 512)
     ps = P_LIN.evaluate(arc.position(ts))
     residual = np.linalg.norm(path - np.einsum("tij,tj->ti", ps, path), axis=1).max()
     assert residual < 1e-8
@@ -139,7 +145,7 @@ def test_covariant_derivative_residual_along_path():
     # P dv/dt ~ 0 along the trajectory (finite differences on the dense path)
     arc = antipodal_arc(E1, E3)
     v0 = chi(ChiVariant.ODD_LINEAR, E1)
-    ts, path = parallel_transport(P_LIN, arc, v0, 2048, return_path=True)
+    ts, path = _path(P_LIN, arc, v0, 2048)
     dv = (path[2:] - path[:-2]) * (2048 / 2.0)
     ps = P_LIN.evaluate(arc.position(ts[1:-1]))
     covariant = np.einsum("tij,tj->ti", ps, dv)
@@ -513,19 +519,19 @@ _POLE_STARTS = [
 
 @pytest.mark.parametrize("field_name", ["odd-harmonic"] + [f"moved-line-{m}" for m in TRIPLET_MS])
 def test_generator_grid_matches_commutator(field_name):
-    # The frame factors multiply out to [Pdot, P] at every node:
-    # f @ g^H = |w><u| - |u><w|.
+    # The frame and its horizontal rate give [Pdot, P] = |w><u| - |u><w|
+    # at every node.
     field, c = _LINEAR_FIELDS[field_name]
     starts = _POLE_STARTS + [(np.array([0.48, 0.6, 0.64]), 1.0)]
     for curve in _rotated_loops(starts):
-        f, g = _generator_factors(*_horizontal_frame(field, curve, 64))
-        assert f.shape == g.shape == (129, c.shape[0], 2)
+        u, w = _horizontal_frame(field, curve, 64)
+        assert u.shape == w.shape == (129, c.shape[0])
         ts = np.linspace(0.0, 1.0, 129)
         xs, vs = curve.position(ts), curve.velocity(ts)
-        u = xs @ c.T
-        p = u[..., :, None] * u.conj()[..., None, :]
+        cx = xs @ c.T
+        p = cx[..., :, None] * cx.conj()[..., None, :]
         pdot = _rate_reference(c, xs, vs)
-        gen = f @ g.conj().swapaxes(-1, -2)
+        gen = w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
         assert np.abs(gen - (pdot @ p - p @ pdot)).max() < 1e-14
 
 
@@ -535,12 +541,12 @@ def test_constant_field_factors_have_zero_rate():
     u = np.array([0.6, 0.0, 0.8j])
     field = constant_projector_field(np.outer(u, u.conj()))
     curve = great_circle(E1, E2)
-    f, g = _generator_factors(*_horizontal_frame(field, curve, 64))
-    assert np.array_equal(f[..., 0], np.zeros((129, 3)))
-    assert np.array_equal(g[..., 1], np.zeros((129, 3)))
+    _, w = _horizontal_frame(field, curve, 64)
+    assert np.array_equal(w, np.zeros((129, 3)))
     v0 = field.frame(curve.point(0.0))
-    _, path = parallel_transport(field, curve, v0, 64, return_path=True)
+    _, path = _path(field, curve, v0, 64)
     assert np.array_equal(path, np.broadcast_to(v0, path.shape))
+    assert np.array_equal(parallel_transport(field, curve, v0, 64), v0)
 
 
 def test_phase_twisted_frame_transports_like_its_line():
@@ -560,8 +566,8 @@ def test_phase_twisted_frame_transports_like_its_line():
     assert abs(holonomy(twisted, arc, 1024) + 1.0) < 1e-6
     open_arc = restrict(arc, 0.0, 0.6)
     v0 = chi(ChiVariant.ODD_LINEAR, start)
-    _, path = parallel_transport(twisted, open_arc, v0, 1024, return_path=True)
-    _, reference = parallel_transport(grassmann_field(), open_arc, v0, 1024, return_path=True)
+    _, path = _path(twisted, open_arc, v0, 1024)
+    _, reference = _path(grassmann_field(), open_arc, v0, 1024)
     assert np.abs(path - reference).max() < 1e-12
 
 
@@ -570,7 +576,7 @@ def _oracle_errors(field, c, curve):
     # transport of Cx(0) is exactly Cx(t); worst path error per step count.
     errors = []
     for steps in (64, 128, 256, 512):
-        ts, path = parallel_transport(field, curve, c @ curve(0.0), steps, return_path=True)
+        ts, path = _path(field, curve, c @ curve(0.0), steps)
         errors.append(np.linalg.norm(path - curve.position(ts) @ c.T, axis=-1).max())
     return np.array(errors)
 
@@ -608,13 +614,12 @@ def test_vanishing_connection_path_matches_the_kernel(name, steps):
     v0 = field.frame(curve.point(0.0))
     u, w = _horizontal_frame(field, curve, steps)
     assert not w.any()
-    reference = rk4_transport_path(*_generator_factors(u, w), 1.0 / steps, v0)
-    ts, path = parallel_transport(field, curve, v0, steps, return_path=True)
-    assert ts.shape == (steps + 1,)
-    assert path.shape == reference.shape and path.dtype == reference.dtype
-    assert path.tobytes() == reference.tobytes()
-    assert parallel_transport(field, curve, v0, steps).tobytes() == reference[-1].tobytes()
-    path[...] = 0.0  # writable, and not a view of v0
+    reference = rk4_transport_path(u, w, 1.0 / steps, v0)
+    assert np.array_equal(reference, np.broadcast_to(v0, reference.shape))
+    end = parallel_transport(field, curve, v0, steps)
+    assert end.shape == reference[-1].shape and end.dtype == reference.dtype
+    assert end.tobytes() == reference[-1].tobytes()
+    end[...] = 0.0  # writable, and not a view of v0
     assert v0.tobytes() == reference[0].tobytes()
 
 
