@@ -150,15 +150,11 @@ def exchange_block(theta, phi) -> np.ndarray:
 BlockFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def perturbed_block() -> BlockFn:
+def perturbed_block(theta, phi) -> np.ndarray:
     """A deliberately broken exchange block (1e-3 added at entry (0, 1)) for fault injection."""
-
-    def block(theta, phi):
-        u = exchange_block(theta, phi)
-        u[..., 0, 1] += 1e-3
-        return u
-
-    return block
+    u = exchange_block(theta, phi)
+    u[..., 0, 1] += 1e-3
+    return u
 
 
 def exchange_full_angles(theta, phi, block_fn: BlockFn | None = None) -> np.ndarray:

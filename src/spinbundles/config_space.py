@@ -204,9 +204,13 @@ class ChartAtlas:
 ATLAS = ChartAtlas()
 
 
+def _is_integer(x) -> bool:
+    # 1.0 and True compare equal to 1 but are not integers here.
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def _check_alpha(alpha: int) -> None:
-    # 1.0 and True compare equal to 1 but are not chart indices.
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, np.integer)) or alpha not in CHART_INDICES:
+    if not _is_integer(alpha) or alpha not in CHART_INDICES:
         raise GeometryError(f"chart index must be one of {CHART_INDICES}, got {alpha!r}")
 
 

@@ -24,7 +24,7 @@ from . import line_bundle as lb
 from . import section_algebra as sa
 from . import transport as tp
 from .config_space import ATLAS, CHART_INDICES, GroupElement, SpherePoint, angles_of, antipode, chart_contains
-from .config_space import chart_inverse, chart_map, partition_phi, project, sample_sphere
+from .config_space import _is_integer, chart_inverse, chart_map, partition_phi, project, sample_sphere
 from .errors import ConfigError
 from .line_bundle import ChiVariant
 from .section_algebra import (
@@ -52,6 +52,8 @@ _CHART_BOUNDARY_POINTS = tuple(
 
 def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
     """The input checks shared by the suite and the experiment command."""
+    _check_integer("seed", seed)
+    _check_integer("samples", samples)
     if not 0 <= int(seed) < 2**64:
         raise ConfigError("seed must fit in 64 bits")
     if samples < 64:
@@ -59,6 +61,11 @@ def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
     if samples > MAX_SAMPLES:
         raise ConfigError(f"samples must be at most {MAX_SAMPLES}")
     _check_tolerance("tol_functional", tol_functional)
+
+
+def _check_integer(name: str, value: int) -> None:
+    if not _is_integer(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_tolerance(name: str, tol: float) -> None:
@@ -82,6 +89,7 @@ class SuiteConfig:
 
     def validate(self) -> None:
         _check_sampling(self.seed, self.samples, self.tol_functional)
+        _check_integer("ode_steps", self.ode_steps)
         if self.ode_steps < tp.MIN_STEPS:
             raise ConfigError(f"ode_steps must be at least {tp.MIN_STEPS}")
         if self.ode_steps > tp.MAX_STEPS:
@@ -358,7 +366,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         return max(0.0, required - float(measured))
 
     fault = FAULT_TARGETS.get(config.fault_inject)
-    block_fn = br.perturbed_block() if fault == "exchange-block" else None
+    block_fn = br.perturbed_block if fault == "exchange-block" else None
 
     xs = sample_sphere(config.samples, rng)
     tol_a = config.tol_algebraic

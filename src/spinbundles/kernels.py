@@ -8,13 +8,14 @@ lays out itself, and it is never formed as an n x n matrix.
 For a linear ODE one RK4 step is v -> T_i v, with T_i a matrix polynomial in
 the step's three samples; every product of generators in it has a 2x2 core
 G_x^H F_y, so the increment D_i = T_i - I is one n x 6 by 6 x n product
-built from the factors and a handful of per-step scalars.  The kernel builds
-every increment at once and chains them with a blocked prefix scan: about
-sqrt(steps) steps per block, batched prefix products inside all blocks
-together, then one matrix-vector product per block to carry v across
-blocks.  The prefix products are kept as increments P - I: adding the
-identity into every product would round the small increments against 1 at
-each step.  Everything is numpy; there is no compiled backend.
+built from the factors and a handful of per-step scalars.  The kernel writes
+every increment at once into the zero-padded buffer of a blocked prefix
+scan: about sqrt(steps) steps per block, batched prefix products inside all
+blocks together, then one matrix-vector product per block to carry v across
+blocks to the endpoint v(1), the only node it returns.  The prefix products
+are kept as increments P - I: adding the identity into every product would
+round the small increments against 1 at each step.  Everything is numpy;
+there is no compiled backend.
 """
 
 from __future__ import annotations
@@ -53,15 +54,15 @@ def _rows(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     return k[:, 0] * g[0] + k[:, 1] * g[1]
 
 
-def _step_increments(u: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
-    # D_i = T_i - I for every step from the factors F = [w, -u], G = [u, w]
-    # of A = F G^H at the step's nodes 0, m, 1.  Each product of generators
-    # has a 2x2 core C_xy = G_x^H F_y,
+def _step_increments(u: np.ndarray, w: np.ndarray, h: float, rows: int) -> np.ndarray:
+    # D_i = T_i - I, written into the first steps of `rows` zero slots, from
+    # the factors F = [w, -u], G = [u, w] of A = F G^H at the step's nodes
+    # 0, m, 1.  Each product of generators has a 2x2 core C_xy = G_x^H F_y,
     # so D = (h/6) [F_0 F_m F_1] K [G_0 G_m G_1]^H with the 6x6 block-triangular
     #   K = [[I, 0, 0], [K_m0, 4I + h C_mm, 0], [h^3/4 C_1m C_mm C_m0, K_1m, I]],
     #   K_m0 = h C_m0 + h^2/2 C_mm C_m0,  K_1m = h C_1m + h^2/2 C_1m C_mm.
     # The core algebra runs on per-step scalar arrays; only the last product
-    # is n x n.
+    # is n x n, written straight into the buffer, which is allocated last.
     fw = _windows(np.stack([w, -u], axis=1))  # rows of F^T = [w, -u] per node
     gh = np.stack([u, w])  # rows of G^H = [u, w]^H per node
     np.conjugate(gh, out=gh)
@@ -83,35 +84,31 @@ def _step_increments(u: np.ndarray, w: np.ndarray, h: float) -> np.ndarray:
     right[0:2] = g0
     right[2:4] = _rows(k_m0, g0) + _rows(k_mm, gm)
     right[4:6] = _rows(k_10, g0) + _rows(k_1m, gm) + g1
-    return (h / 6.0) * (fw.transpose(0, 2, 1) @ right.transpose(1, 0, 2))
+    q = np.zeros((rows, fw.shape[2], fw.shape[2]), dtype=np.complex128)
+    d = np.matmul(fw.transpose(0, 2, 1), right.transpose(1, 0, 2), out=q[: fw.shape[0]])
+    d *= h / 6.0
+    return q
 
 
-def _blocked_scan(d: np.ndarray, v0: np.ndarray) -> np.ndarray:
-    # Nodes 1..steps of the chain v_i = (I + D_i) v_{i-1}, shape (steps, n).
-    steps, n = d.shape[0], d.shape[1]
-    block = math.ceil(math.sqrt(steps))
-    blocks = (steps + block - 1) // block
-    q = np.zeros((blocks, block, n, n), dtype=np.complex128)
-    q.reshape(-1, n, n)[:steps] = d
+def _blocked_scan(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # v(1) of the chain v_i = (I + D_i) v_{i-1} from v(0) = v, with the
+    # increments in a zero-padded (blocks, block, n, n) buffer it overwrites.
     # In-block prefix increments Q_j = P_j - I = D_j + Q_{j-1} + D_j Q_{j-1},
     # with the two small terms summed first so that only one rounding is at
     # the size of Q.  The zero padding of the last block changes no prefix.
-    for j in range(1, block):
+    for j in range(1, q.shape[1]):
         q[:, j] += q[:, j] @ q[:, j - 1]
         q[:, j] += q[:, j - 1]
-    w = np.empty((blocks, n), dtype=np.complex128)
-    w[0] = v0
-    for b in range(1, blocks):
-        w[b] = w[b - 1] + q[b - 1, -1] @ w[b - 1]
-    path = w[:, None, :] + (q @ w[:, None, :, None])[..., 0]
-    return path.reshape(-1, n)[:steps]
+    for p in q[:, -1]:
+        v = v + p @ v
+    return v
 
 
 def rk4_transport_path(u: np.ndarray, w: np.ndarray, h: float, v0: np.ndarray) -> np.ndarray:
-    """Integrate dv/dt = (|w><u| - |u><w|) v, returning the (steps + 1, n) node trajectory.
+    """Integrate dv/dt = (|w><u| - |u><w|) v along a path, returning the endpoint v(1).
 
     u is the fiber frame and w its horizontal rate at every node and
-    midpoint, both of shape (2*steps + 1, n).
+    midpoint of the path, both of shape (2*steps + 1, n); the result has shape (n,).
     """
     u = np.asarray(u, dtype=np.complex128)
     w = np.asarray(w, dtype=np.complex128)
@@ -122,9 +119,9 @@ def rk4_transport_path(u: np.ndarray, w: np.ndarray, h: float, v0: np.ndarray) -
     v0 = np.asarray(v0, dtype=np.complex128)
     if v0.shape != u.shape[1:]:
         raise ValueError("start vector must have shape (n,) for an (.., n) frame")
-    steps = (u.shape[0] - 1) // 2
-    out = np.empty((steps + 1, u.shape[1]), dtype=np.complex128)
-    out[0] = v0
-    if steps:
-        out[1:] = _blocked_scan(_step_increments(u, w, float(h)), v0)
-    return out
+    steps, n = (u.shape[0] - 1) // 2, u.shape[1]
+    if not steps:
+        return v0.copy()
+    block = math.ceil(math.sqrt(steps))
+    q = _step_increments(u, w, float(h), -(-steps // block) * block)
+    return _blocked_scan(q.reshape(-1, block, n, n), v0)

@@ -14,6 +14,7 @@ FIBER_RTOL).  Transition functions of the affine atlas are sign(x_a x_b).
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -65,8 +66,9 @@ class ProjectorField:
         if z.shape != u.shape:  # vdot flattens, and the residual would broadcast
             raise FiberMembershipError(f"a fiber vector needs shape {u.shape}, not {z.shape}")
         lam = complex(np.vdot(u, z))
-        residual = np.linalg.norm(z - lam * u)
-        if not residual <= FIBER_RTOL * max(np.linalg.norm(z), 1e-300):  # NaN fails too
+        r = z - lam * u
+        residual = math.sqrt(np.vdot(r, r).real)
+        if not residual <= FIBER_RTOL * max(math.sqrt(np.vdot(z, z).real), 1e-300):  # NaN fails too
             raise FiberMembershipError(
                 f"vector is not in the fiber line (off-line residual {residual:.3e})"
             )

@@ -187,7 +187,7 @@ def parallel_transport(
     u, w = _horizontal_frame(field, curve, steps)
     if not w.any():  # a vanishing connection moves nothing: every RK4 increment is exactly 0
         return v0.copy()
-    return rk4_transport_path(u, w, 1.0 / steps, v0)[-1]
+    return rk4_transport_path(u, w, 1.0 / steps, v0)
 
 
 def holonomy(field: ProjectorField, curve: Curve, steps: int = DEFAULT_STEPS) -> complex:

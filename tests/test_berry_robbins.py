@@ -258,7 +258,7 @@ def test_transported_orthonormal(points):
     frames = moved_product_frames(theta, phi)
     gram = np.einsum("...ia,...ib->...ab", frames.conj(), frames)
     assert np.abs(gram - np.eye(4)).max() < 1e-12
-    for block_fn in (None, perturbed_block()):
+    for block_fn in (None, perturbed_block):
         reference = _frames_reference(theta, phi, block_fn)
         assert np.abs(moved_product_frames(theta, phi, block_fn) - reference).max() < 1e-15
 
@@ -274,7 +274,7 @@ _POLAR = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(theta=_POLAR, phi=st.floats(0.0, 2 * np.pi), perturbed=st.booleans())
 def test_moved_frames_match_full_rotation(theta, phi, perturbed):
-    block_fn = perturbed_block() if perturbed else None
+    block_fn = perturbed_block if perturbed else None
     frames = moved_product_frames(theta, phi, block_fn)
     assert frames.shape == (DIMENSION, 4)
     assert np.abs(frames - _frames_reference(theta, phi, block_fn)).max() < 1e-15
@@ -307,8 +307,7 @@ def test_exchange_rule_reduction_at_pole():
 
 
 def test_exchange_rule_detects_perturbation(points):
-    bad = perturbed_block()
-    assert exchange_rule_residual(points[:200], "product", bad) > 1e-4
+    assert exchange_rule_residual(points[:200], "product", perturbed_block) > 1e-4
 
 
 def test_br_parallel_residual_great_circle():

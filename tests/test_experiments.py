@@ -109,6 +109,33 @@ def test_config_validation():
         SuiteConfig(fault_inject="not-a-check").validate()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", np.float64(2.0)),
+        ("samples", 100.5),
+        ("samples", 256.0),
+        ("samples", np.True_),
+        ("ode_steps", 256.5),
+        ("ode_steps", np.float32(256.0)),
+        ("ode_steps", True),
+    ],
+)
+def test_non_integer_counts_are_refused(name, value):
+    config = SuiteConfig(**{**SMALL, name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        config.validate()
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        run_suite(config)
+
+
+def test_numpy_integer_counts_run(small_report):
+    report = run_suite(SuiteConfig(seed=np.int64(0), samples=np.int64(256), ode_steps=np.uint16(256)))
+    assert report.checks == small_report.checks
+
+
 def test_config_dict_follows_the_dataclass():
     config = SuiteConfig(seed=np.int64(3), samples=np.int64(512), fd_step=np.float64(2e-5))
     d = config.to_dict()
@@ -309,7 +336,7 @@ MUTANTS = {
         {"experiment.invariance-needs-odd", "sections.invariance-detects"},
     ),
     "rk4-increments-scaled": (
-        kernels, "_step_increments", lambda f: lambda u, w, h: 1.2 * f(u, w, h),
+        kernels, "_step_increments", lambda f: lambda u, w, h, rows: 1.2 * f(u, w, h, rows),
         {
             "br.holonomy-decomposition",
             "br.transport-crosscheck",
@@ -319,6 +346,18 @@ MUTANTS = {
             "holonomy.squared-antipodal",
             "transport.fiber-retention",
             "transport.norm-preservation",
+        },
+    ),
+    "rk4-scan-drops-last-block": (
+        kernels, "_blocked_scan", lambda f: lambda q, v0: f(q[:-1], v0),
+        {
+            "br.holonomy-decomposition",
+            "br.transport-crosscheck",
+            "holonomy.antipodal-nontrivial",
+            "holonomy.contractible",
+            "holonomy.order4-convergence",
+            "holonomy.squared-antipodal",
+            "transport.fiber-retention",
         },
     ),
 }
