@@ -27,7 +27,7 @@ import numpy as np
 from .config_space import TWO_PI, SpherePoint, angles_of, antipode_angles
 from .errors import GeometryError
 from .line_bundle import CHI_HARMONIC, ProjectorField, constant_projector_field, linear_line_field
-from .section_algebra import ScalarField, evaluate_fields, zero_field
+from .section_algebra import ScalarField, evaluate_fields
 from .transport import Curve
 
 DIMENSION = 10
@@ -341,49 +341,29 @@ class TwoSpinWaveFunction:
     def __post_init__(self):
         if self.basis not in ("product", "total"):
             raise GeometryError("basis must be 'product' or 'total'")
-        expected = set(_labels(self.basis))
+        expected = set(PRODUCT_LABELS if self.basis == "product" else TOTAL_LABELS)
         if set(self.coefficients) != expected:
             raise GeometryError(f"coefficient labels must be exactly {sorted(expected)}")
 
     def to_product(self) -> "TwoSpinWaveFunction":
-        """Pointwise unitary change of labels (Clebsch-Gordan)."""
-        return self._relabel("product", CLEBSCH_GORDAN.T)
+        """Pointwise unitary change of labels, psi_M = sum_jm <j m|M> psi_jm (Clebsch-Gordan).
 
-    def to_total(self) -> "TwoSpinWaveFunction":
-        return self._relabel("total", CLEBSCH_GORDAN)
-
-    def _relabel(self, basis: str, table: np.ndarray) -> "TwoSpinWaveFunction":
-        """psi_new = sum_old table[new, old] psi_old; a weight of 1 passes the field through."""
-        if basis == self.basis:
+        A weight of 1 passes the field through.
+        """
+        if self.basis == "product":
             return self
-        old = [self.coefficients[lbl] for lbl in _labels(self.basis)]
+        old = [self.coefficients[lbl] for lbl in TOTAL_LABELS]
         new = {}
-        for lbl, row in zip(_labels(basis), table.tolist()):
+        for lbl, row in zip(PRODUCT_LABELS, CLEBSCH_GORDAN.T.tolist()):
             terms = [c if w == 1.0 else w * c for w, c in zip(row, old) if w]
             new[lbl] = functools.reduce(operator.add, terms)
-        return TwoSpinWaveFunction(new, basis)
-
-
-def _labels(basis: str) -> tuple[tuple[int, int], ...]:
-    return PRODUCT_LABELS if basis == "product" else TOTAL_LABELS
-
-
-def zero_wavefunction(basis: str = "product") -> TwoSpinWaveFunction:
-    return TwoSpinWaveFunction({lbl: zero_field() for lbl in _labels(basis)}, basis)
+        return TwoSpinWaveFunction(new, "product")
 
 
 def _state(xs: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """The state sum_M coeffs_M |M(r)> over xs, (..., 10), from product-label coefficients (..., 4)."""
     theta, phi = angles_of(xs)
     return np.einsum("...ia,...a->...i", moved_product_frames(theta, phi), coeffs)
-
-
-def assemble_values(psi: TwoSpinWaveFunction, xs: np.ndarray) -> np.ndarray:
-    """The full state sum_M psi_M(r) |M(r)> over an (..., 3) sample, (..., 10)."""
-    psi = psi.to_product()
-    xs = np.asarray(xs, dtype=float)
-    values = evaluate_fields([psi.coefficients[lbl] for lbl in PRODUCT_LABELS], xs)
-    return _state(xs, np.stack(values, axis=-1))
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,10 @@ class GroupElement:
         if self.sign not in (1, -1):
             raise GeometryError("group element sign must be +1 or -1")
 
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(self.sign * other.sign)
-
     def apply(self, p: SpherePoint) -> SpherePoint:
         return antipode(p) if self.sign == -1 else p
 
 
-IDENTITY = GroupElement(1)
 SWAP = GroupElement(-1)
 
 

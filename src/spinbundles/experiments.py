@@ -69,6 +69,8 @@ def _check_integer(name: str, value: int) -> None:
 
 
 def _check_tolerance(name: str, tol: float) -> None:
+    if isinstance(tol, (bool, np.bool_)):  # True compares as 1.0
+        raise ConfigError(f"{name} must be a number, got {tol!r}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ConfigError(f"{name} must be positive and finite")
 
@@ -171,15 +173,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "VerificationReport":
-        d = json.loads(text)
-        checks = [
-            CheckResult(c["check_id"], c["anchor"], c["residual"], c["tolerance"], c["pass"])
-            for c in d["checks"]
-        ]
-        return cls(d["suite"], d["seed"], d["config"], checks, d["all_pass"], d["wall_ms"])
 
     def failed(self) -> list[CheckResult]:
         return [c for c in self.checks if not c.passed]
@@ -421,6 +414,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     # from chart_contains, must leave out the charts the point is not in.
     # A constant +1 is a cocycle too (the trivial bundle's), so the transitions
     # must also carry each chart's fiber coordinate into the next: v_b = g_ab v_a.
+    # Real transitions carry conjugated coordinates as well, so the first
+    # chart's coordinate must also be complex linear: v_a(i z) = i v_a(z).
     cocycle_defect = 0.0
     for q in [*qs[:512], *map(project, _CHART_BOUNDARY_POINTS)]:
         inside = [a for a in CHART_INDICES if chart_contains(a, q)]
@@ -431,6 +426,8 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         fiber = {a: lb.local_trivialization(a, q, z) for a in inside}
         for a, b in itertools.product(inside, repeat=2):
             cocycle_defect = max(cocycle_defect, abs(fiber[b] - sign[a, b] * fiber[a]))
+        a = inside[0]
+        cocycle_defect = max(cocycle_defect, abs(lb.local_trivialization(a, q, 1j * z) - 1j * fiber[a]))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
 
     # -- projector fields ------------------------------------------------------
@@ -789,12 +786,17 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         tol_a,
     )
 
-    hol_moved = [tp.holonomy(br.exchange_line_field(m), arcs[0], steps) for m in br.TRIPLET_MS]
+    # The three moved lines must be distinct as well as nontrivial: their
+    # frames are mutually orthogonal (disjoint slots, so exactly 0).
+    moved_fields = [br.exchange_line_field(m) for m in br.TRIPLET_MS]
+    hol_moved = [tp.holonomy(f, arcs[0], steps) for f in moved_fields]
     hol_singlet = tp.holonomy(br.singlet_field(), arcs[0], steps)
+    frames = [f.vector(xs[:256]) for f in moved_fields]
+    overlap = max(np.abs(np.sum(u.conj() * v, axis=-1)).max() for u, v in itertools.combinations(frames, 2))
     record(
         "br.holonomy-decomposition",
         "the two-spin bundle splits as three nontrivial lines plus a trivial one",
-        max(max(abs(h + 1.0) for h in hol_moved), abs(hol_singlet - 1.0)),
+        max(max(abs(h + 1.0) for h in hol_moved), abs(hol_singlet - 1.0), overlap),
         tol_h,
     )
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config_space import GroupElement, ProjectivePoint, SpherePoint, _check_alpha, chart_contains
+from .config_space import GroupElement, ProjectivePoint, SpherePoint, chart_contains
 from .errors import BindingError, ChartDomainError, FiberMembershipError, GeometryError, ParityError
 
 # Relative tolerance for deciding that a vector lies in a fiber line.
@@ -200,17 +200,6 @@ def local_trivialization(alpha: int, q: ProjectivePoint, z: np.ndarray) -> compl
     r = q.rep
     sign = 1.0 if (r.x1, r.x2, r.x3)[alpha - 1] > 0 else -1.0
     return sign * lam
-
-
-def generator_e(alpha: int, q: ProjectivePoint) -> np.ndarray:
-    """Generating global section e_a([x]) = x_a * (x1, x2, x3).
-
-    Each component is even in x, so the value is representative independent;
-    the section vanishes exactly where x_a = 0, i.e. outside U_alpha.
-    """
-    _check_alpha(alpha)
-    v = q.vec
-    return (v[alpha - 1] * v).astype(complex)
 
 
 class ActionLabel(enum.Enum):

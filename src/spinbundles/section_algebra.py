@@ -150,23 +150,12 @@ def evaluate_fields(fields, xs) -> list[np.ndarray]:
     return [np.asarray(v) for v in _expression_values([f.evaluator for f in fields], xs)]
 
 
-def constant_field(c, name: str | None = None) -> ScalarField:
-    c = complex(c)
-    if name is None:
-        name = f"{c.real:g}" if c.imag == 0 else str(c)
-    return ScalarField(lambda xs: np.full(np.asarray(xs).shape[:-1], c), "even", name)
-
-
 @functools.cache
 def coordinate_field(i: int) -> ScalarField:
     """The odd coordinate function x_i (i in {1, 2, 3}); one shared field per index."""
     if i not in (1, 2, 3):
         raise GeometryError("coordinate index must be 1, 2 or 3")
     return ScalarField(lambda xs: np.asarray(xs)[..., i - 1] + 0j, "odd", f"x{i}")
-
-
-def zero_field() -> ScalarField:
-    return constant_field(0.0, "0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,10 +347,9 @@ def _require_parity(a: ScalarField, parity: str, what: str) -> None:
 class SectionXi:
     """A section of the nontrivial line bundle as even coefficients f_a.
 
-    Evaluation against the generating sections reads
-    value(x) = sum_a f_a(x) * e_a(x) with e_a(x) = x_a * x, the linear
-    gauge; the coefficient triple is fixed by the projector:
-    sum_a x_b x_a f_a = f_b.
+    The section is sum_a f_a(x) * x_a * x in the linear gauge chi(x) = x,
+    and its coefficient triple is fixed by the projector:
+    sum_a x_b x_a f_a = f_b.  pullback_T lifts it to a(x) * x upstairs.
     """
 
     f1: ScalarField
@@ -380,13 +368,6 @@ class SectionXi:
         """The triple (f1, f2, f3) at xs, (..., 3), from one evaluation pass."""
         return np.stack(evaluate_fields(self.fields, xs), axis=-1)
 
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        """Fiber vectors sum_a f_a(x) e_a(x), shape (..., 3)."""
-        xs = np.asarray(xs, dtype=float)
-        chiv = ChiVariant.ODD_LINEAR.field.vector(xs)
-        coeffs = evaluate_fields(self.fields, xs)
-        return sum((f * xs[..., a])[..., None] * chiv for a, f in enumerate(coeffs))
-
     def projector_residual(self, xs: np.ndarray) -> float:
         """sup-norm of (p f - f) over the sample; zero for genuine sections."""
         xs = np.asarray(xs, dtype=float)
@@ -397,11 +378,6 @@ def projector_defect(xs: np.ndarray, coeffs: np.ndarray) -> float:
     """sup-norm of (p f - f) for coefficient values (..., 3) at the points xs."""
     a_vals = np.einsum("...a,...a->...", xs, coeffs)
     return float(np.linalg.norm(xs * a_vals[..., None] - coeffs, axis=-1).max())
-
-
-def zero_section() -> SectionXi:
-    z = zero_field()
-    return SectionXi(z, z, z)
 
 
 def section_from_odd(a: ScalarField) -> SectionXi:

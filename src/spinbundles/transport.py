@@ -110,20 +110,6 @@ def small_circle(center, angular_radius: float) -> Curve:
     return _circle(c, cr, sr, a, b, 2.0 * np.pi, f"small-circle({angular_radius:g})")
 
 
-def constant_curve(p: SpherePoint) -> Curve:
-    v = p.vec
-
-    def pos(t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(v, t.shape + (3,)).copy()
-
-    def vel(t):
-        t = np.asarray(t, dtype=float)
-        return np.zeros(t.shape + (3,))
-
-    return Curve(pos, vel, "constant")
-
-
 def reverse(c: Curve) -> Curve:
     pos = lambda t: c.position(1.0 - np.asarray(t, dtype=float))
     vel = lambda t: -c.velocity(1.0 - np.asarray(t, dtype=float))

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from spinbundles.config_space import COORD_EPS, SpherePoint, sample_sphere
+from spinbundles.berry_robbins import PRODUCT_LABELS, moved_product_frames
+from spinbundles.config_space import COORD_EPS, SpherePoint, angles_of, sample_sphere
 from spinbundles.experiments import SuiteConfig, run_suite
+from spinbundles.section_algebra import evaluate_fields
+from spinbundles.transport import Curve
 
 
 @pytest.fixture
@@ -42,6 +45,31 @@ def cached_suite():
         return reports[key]
 
     return run
+
+
+def constant_curve(p: SpherePoint) -> Curve:
+    """The curve that stays at p: closed, with zero velocity."""
+    v = p.vec
+    return Curve(
+        lambda t: np.broadcast_to(v, np.shape(t) + (3,)).copy(),
+        lambda t: np.zeros(np.shape(t) + (3,)),
+        "constant",
+    )
+
+
+def section_values(f, xs):
+    """The fiber vectors sum_a f_a(x) e_a(x) of a section, with the generating
+    sections e_a(x) = x_a * x of the linear gauge, (..., 3)."""
+    xs = np.asarray(xs, dtype=float)
+    return sum((c * xs[..., a])[..., None] * xs for a, c in enumerate(evaluate_fields(f.fields, xs)))
+
+
+def assemble_values(psi, xs):
+    """The two-spin state sum_M psi_M(r) |M(r)> over an (..., 3) sample, (..., 10)."""
+    psi = psi.to_product()
+    xs = np.asarray(xs, dtype=float)
+    coeffs = np.stack(evaluate_fields([psi.coefficients[lbl] for lbl in PRODUCT_LABELS], xs), axis=-1)
+    return np.einsum("...ia,...a->...i", moved_product_frames(*angles_of(xs)), coeffs)
 
 
 # Coordinates at a chart boundary: signed zeros, and |x_a| at COORD_EPS and

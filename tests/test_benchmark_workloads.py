@@ -80,3 +80,12 @@ def test_kernel_meter_reads_the_kernel_calls():
     finally:
         tracer.uninstall()
     assert dict(tracer.kernel_steps) == {3: 64, 10: 64}
+
+
+def test_environment_reads_the_package_namespace():
+    # environment() reads the kernels through the package attribute
+    # spinbundles.kernels, which the package itself does not import: it is
+    # bound once a layer module (transport) imports kernels.
+    env = workloads.environment()
+    assert env["backend"] == "numpy"
+    assert isinstance(env["numba_available"], bool)

@@ -1,7 +1,10 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
+from conftest import assemble_values, constant_curve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,12 +15,12 @@ from spinbundles.berry_robbins import (
     CLEBSCH_GORDAN,
     DIMENSION,
     PRODUCT_LABELS,
+    TOTAL_LABELS,
     TRIPLET_KS,
     TRIPLET_MS,
     SpinStatisticsReport,
     TwoSpinWaveFunction,
     antisymmetrize,
-    assemble_values,
     block_matrix,
     br_parallel_residual,
     exchange_block,
@@ -37,12 +40,27 @@ from spinbundles.berry_robbins import (
     transported_basis,
     transported_component_vector,
     triplet_vector,
-    zero_wavefunction,
 )
-from spinbundles.section_algebra import constant_field, coordinate_field, zero_field
+from spinbundles.section_algebra import coordinate_field, polynomial_field
 from spinbundles.transport import antipodal_arc, great_circle, holonomy, parallel_transport
 
 SQRT2 = math.sqrt(2.0)
+ZERO = polynomial_field([])
+ONE = polynomial_field([(1.0, (0, 0, 0))])
+
+
+def _zero_wavefunction():
+    return TwoSpinWaveFunction({lbl: ZERO for lbl in PRODUCT_LABELS}, "product")
+
+
+def _to_total(psi):
+    """The total-label coefficients psi_jm = sum_M <j m|M> psi_M of a product-label psi."""
+    old = [psi.coefficients[lbl] for lbl in PRODUCT_LABELS]
+    new = {
+        lbl: functools.reduce(operator.add, [w * c for w, c in zip(row, old) if w])
+        for lbl, row in zip(TOTAL_LABELS, CLEBSCH_GORDAN.tolist())
+    }
+    return TwoSpinWaveFunction(new, "total")
 
 
 def test_scheme_vectors_orthonormal():
@@ -311,8 +329,6 @@ def test_exchange_rule_detects_perturbation(points):
 
 
 def test_br_parallel_residual_great_circle():
-    from spinbundles.transport import constant_curve
-
     g = great_circle([1, 0, 0], [0, 0, 1])
     assert br_parallel_residual(g, 1e-5) < 1e-8
     assert br_parallel_residual(constant_curve(SpherePoint(0.0, 0.0, 1.0)), 1e-5) == 0.0
@@ -403,18 +419,18 @@ def test_transport_crosscheck_reproduces_moved_basis():
 
 def test_wavefunction_label_validation():
     with pytest.raises(GeometryError):
-        TwoSpinWaveFunction({(1, 1): zero_field()}, "product")
+        TwoSpinWaveFunction({(1, 1): ZERO}, "product")
     with pytest.raises(GeometryError):
         TwoSpinWaveFunction({}, "weird")
 
 
 def test_assemble_examples(points):
-    psi0 = zero_wavefunction()
+    psi0 = _zero_wavefunction()
     assert np.abs(assemble_values(psi0, points[:32])).max() == 0.0
 
     labels = ((1, -1), (1, 0), (1, 1), (0, 0))
-    coeffs = {lbl: zero_field() for lbl in labels}
-    coeffs[(0, 0)] = constant_field(1.0)
+    coeffs = {lbl: ZERO for lbl in labels}
+    coeffs[(0, 0)] = ONE
     singlet_only = TwoSpinWaveFunction(coeffs, "total")
     vals = assemble_values(singlet_only, points[:32])
     assert np.abs(vals - singlet_vector()).max() < 1e-12
@@ -422,7 +438,7 @@ def test_assemble_examples(points):
 
 def test_assemble_odd_coefficient_times_moved_triplet_is_even(points):
     labels = ((1, -1), (1, 0), (1, 1), (0, 0))
-    coeffs = {lbl: zero_field() for lbl in labels}
+    coeffs = {lbl: ZERO for lbl in labels}
     coeffs[(1, 0)] = coordinate_field(3)
     psi = TwoSpinWaveFunction(coeffs, "total")
     here = assemble_values(psi, points[:128])
@@ -431,7 +447,7 @@ def test_assemble_odd_coefficient_times_moved_triplet_is_even(points):
 
 
 def test_assemble_scalar_wrapper():
-    psi = zero_wavefunction()
+    psi = _zero_wavefunction()
     out = assemble_values(psi, SpherePoint(0.0, 0.0, 1.0).vec)
     assert out.shape == (DIMENSION,)
 
@@ -440,16 +456,16 @@ def test_clebsch_gordan_round_trip(points):
     rngl = np.random.default_rng(5)
     raw = {
         lbl: coordinate_field(1) * float(rngl.standard_normal())
-        + constant_field(float(rngl.standard_normal()))
+        + polynomial_field([(float(rngl.standard_normal()), (0, 0, 0))])
         for lbl in PRODUCT_LABELS
     }
     psi = TwoSpinWaveFunction(raw, "product")
-    back = psi.to_total().to_product()
+    back = _to_total(psi).to_product()
     for lbl in PRODUCT_LABELS:
         assert np.abs(back.coefficients[lbl](points[:64]) - raw[lbl](points[:64])).max() < 1e-15
     # assembling in either labeling gives the same state
     a = assemble_values(psi, points[:64])
-    b = assemble_values(psi.to_total(), points[:64])
+    b = assemble_values(_to_total(psi), points[:64])
     assert np.abs(a - b).max() < 1e-12
 
 
@@ -465,7 +481,7 @@ def test_spin_statistics_constructed_family(points, rng):
 
 def test_spin_statistics_violating_family(points):
     psi = TwoSpinWaveFunction(
-        {lbl: constant_field(1.0) for lbl in PRODUCT_LABELS}, "product"
+        {lbl: ONE for lbl in PRODUCT_LABELS}, "product"
     )
     rep = spin_statistics_check(psi, points[:512])
     assert rep.singlevalued_residual > 0.1
@@ -473,7 +489,7 @@ def test_spin_statistics_violating_family(points):
 
 
 def test_spin_statistics_zero(points):
-    rep = spin_statistics_check(zero_wavefunction(), points)
+    rep = spin_statistics_check(_zero_wavefunction(), points)
     assert rep.singlevalued_residual == 0.0
     assert rep.coefficient_relation_residual == 0.0
 

@@ -23,7 +23,6 @@ from spinbundles.experiments import (
     FAULT_TARGETS,
     FiveStepReport,
     SuiteConfig,
-    VerificationReport,
     checks_hit_by_fault,
     five_step_experiment,
     five_step_from_coefficient,
@@ -121,13 +120,18 @@ def test_config_validation():
         ("ode_steps", 256.5),
         ("ode_steps", np.float32(256.0)),
         ("ode_steps", True),
+        # a bool tolerance would run as 1.0
+        ("tol_holonomy", True),
+        ("tol_algebraic", True),
+        ("tol_functional", np.True_),
     ],
 )
 def test_non_integer_counts_are_refused(name, value):
     config = SuiteConfig(**{**SMALL, name: value})
-    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+    message = f"{name} must be a number" if name.startswith("tol_") else f"{name} must be an integer"
+    with pytest.raises(ConfigError, match=message):
         config.validate()
-    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+    with pytest.raises(ConfigError, match=message):
         run_suite(config)
 
 
@@ -179,9 +183,9 @@ def test_five_step_flag_pairing(points):
 
 
 def test_five_step_zero_section_vacuous(points):
-    from spinbundles.section_algebra import zero_section
+    from spinbundles.section_algebra import SectionXi
 
-    report = five_step_experiment(zero_section(), ChiVariant.ODD_LINEAR, points)
+    report = five_step_experiment(SectionXi(*[polynomial_field([])] * 3), ChiVariant.ODD_LINEAR, points)
     assert report.vacuous
     assert report.invariant is None and report.singlevalued is None
 
@@ -253,8 +257,7 @@ def test_suite_seed_changes_samples_not_verdicts():
 
 def test_report_round_trip(small_report):
     text = small_report.to_json()
-    back = VerificationReport.from_json(text)
-    assert back == small_report
+    assert json.loads(text) == small_report.to_dict()
     assert text.endswith("\n")
 
 
@@ -289,7 +292,16 @@ def _sign_flipped_singlet(singlet):
 #     sign(x_a x_b);
 #   parity_decompose: idempotence, complementarity and reconstruction are
 #     symmetric in the two parts, so only the parity of each part tells
-#     (even, odd) from (odd, even).
+#     (even, odd) from (odd, even);
+#   local_trivialization conjugated: the transitions are real, so
+#     v_b = g_ab v_a holds for the conjugates too; only the complex linearity
+#     v_a(i z) = i v_a(z) in charts.cocycle tells them apart;
+#   exchange_line_field ignoring m: every moved line has holonomy -1, so only
+#     the orthogonality of the three frames in br.holonomy-decomposition shows
+#     that they are three lines.
+# One mutant is equivalent and has no row: holonomy dropping the imaginary
+# part of h. Every loop the suite transports has a real holonomy, +1 or -1 to
+# rounding, so no check can tell the two apart.
 MUTANTS = {
     "partition_phi-halved": (
         config_space, "partition_phi", lambda f: lambda a, q: 0.5 * f(a, q),
@@ -316,8 +328,12 @@ MUTANTS = {
     "transition-constant": (
         line_bundle, "transition", lambda f: lambda a, b, q: 1, {"charts.cocycle"},
     ),
+    "local_trivialization-conjugated": (
+        line_bundle, "local_trivialization", lambda f: lambda a, q, z: f(a, q, z).conjugate(),
+        {"charts.cocycle"},
+    ),
     "group_act-ignores-g": (
-        line_bundle, "group_act", lambda f: lambda act, g, x, v: f(act, config_space.IDENTITY, x, v),
+        line_bundle, "group_act", lambda f: lambda act, g, x, v: f(act, config_space.GroupElement(1), x, v),
         {"bundle.action-involution"},
     ),
     "parity_decompose-swapped": (
@@ -326,6 +342,9 @@ MUTANTS = {
     ),
     "antisymmetrize-skipped": (
         br, "antisymmetrize", lambda f: lambda family: family, {"spin.relation-consistency"},
+    ),
+    "exchange_line_field-ignores-m": (
+        br, "exchange_line_field", lambda f: lambda m: f(1), {"br.holonomy-decomposition"},
     ),
     "singlet_vector-sign": (
         br, "singlet_vector", _sign_flipped_singlet,

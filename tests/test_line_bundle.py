@@ -20,7 +20,6 @@ from spinbundles.line_bundle import (
     ActionLabel,
     ChiVariant,
     chi,
-    generator_e,
     grassmann_field,
     group_act,
     hermiticity_defect,
@@ -218,21 +217,6 @@ def test_local_trivialization_examples():
         local_trivialization(1, q, np.array([0.0, 1.0, 0.0]))
     with pytest.raises(ChartDomainError):
         local_trivialization(1, project(SpherePoint(0.0, 0.0, 1.0)), z)
-
-
-def test_generator_examples():
-    assert np.allclose(generator_e(3, project(SpherePoint(0.0, 0.0, 1.0))), [0, 0, 1])
-    assert np.abs(generator_e(1, project(SpherePoint(0.0, 0.0, 1.0)))).max() == 0.0
-    s = 1.0 / math.sqrt(2.0)
-    assert np.allclose(generator_e(2, project(SpherePoint(0.0, s, s))), [0, 0.5, 0.5])
-
-
-def test_generator_is_coordinate_times_chi(points):
-    for v in points[:100]:
-        q = project(SpherePoint.from_vec(v))
-        for a in (1, 2, 3):
-            expected = q.vec[a - 1] * chi(ChiVariant.ODD_LINEAR, q.rep)
-            assert np.abs(generator_e(a, q) - expected).max() < 1e-15
 
 
 def test_group_act_examples():

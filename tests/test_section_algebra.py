@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import section_values
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from spinbundles.section_algebra import (
     PullbackSection,
     ScalarField,
     SectionXi,
-    constant_field,
     coordinate_field,
     g_action_on_section,
     invariance_residual,
@@ -27,11 +27,12 @@ from spinbundles.section_algebra import (
     section_from_odd,
     singlevaluedness_residuals,
     validation_grid,
-    zero_field,
-    zero_section,
 )
 
 X1, X2, X3 = (coordinate_field(i) for i in (1, 2, 3))
+ZERO = polynomial_field([])
+ONE = polynomial_field([(1.0, (0, 0, 0))])
+ZERO_SECTION = SectionXi(ZERO, ZERO, ZERO)
 
 
 def test_parity_decompose_examples(points):
@@ -129,7 +130,7 @@ def test_section_from_odd_rejects_even():
     with pytest.raises(ParityError):
         section_from_odd(X1 * X2)
     with pytest.raises(ParityError):
-        section_from_odd(constant_field(1.0))
+        section_from_odd(ONE)
 
 
 @pytest.mark.parametrize("cached", [validation_grid])
@@ -145,9 +146,8 @@ def test_cached_sample_arrays_are_read_only(cached):
 
 
 def test_zero_section_round_trip(points):
-    z = zero_section()
-    assert np.abs(z.values(points)).max() == 0.0
-    a = odd_from_section(z)
+    assert np.abs(section_values(ZERO_SECTION, points)).max() == 0.0
+    a = odd_from_section(ZERO_SECTION)
     assert np.abs(a(points)).max() == 0.0
 
 
@@ -177,7 +177,7 @@ def test_round_trip_projected_triples(rng, points):
 
 
 def test_odd_from_section_rejects_non_fixed_triple():
-    f = SectionXi(constant_field(1.0), zero_field(), zero_field())
+    f = SectionXi(ONE, ZERO, ZERO)
     with pytest.raises(GeometryError):
         odd_from_section(f)
 
@@ -188,7 +188,7 @@ def test_section_requires_even_coefficients():
 
 
 def test_pullback_examples(points):
-    z = pullback_T(zero_section())
+    z = pullback_T(ZERO_SECTION)
     assert np.abs(z.values(points)).max() == 0.0
 
     f = section_from_odd(X3)
@@ -204,7 +204,7 @@ def test_pullback_evaluation_identity(rng, points):
         a = random_polynomial(rng, 5, "odd")
         f = section_from_odd(a)
         sigma = pullback_T(f)
-        assert np.abs(sigma.values(points) - f.values(points)).max() < 1e-12
+        assert np.abs(sigma.values(points) - section_values(f, points)).max() < 1e-12
 
 
 def test_g_action_identity_and_binding(points):
@@ -230,11 +230,11 @@ def test_invariance_iff_odd_coefficient(points):
     sigma = pullback_T(section_from_odd(X3))
     assert invariance_residual(sigma, tau_tilde(), points) < 1e-10
 
-    even_sigma = PullbackSection(constant_field(1.0), ChiVariant.ODD_LINEAR)
+    even_sigma = PullbackSection(ONE, ChiVariant.ODD_LINEAR)
     r = invariance_residual(even_sigma, tau_tilde(), points)
     assert abs(r - 2.0) < 1e-10  # ghat sigma = -sigma, |chi| = 1
 
-    zero = PullbackSection(zero_field(), ChiVariant.ODD_LINEAR)
+    zero = PullbackSection(ZERO, ChiVariant.ODD_LINEAR)
     assert invariance_residual(zero, tau_tilde(), points) == 0.0
 
 
@@ -256,7 +256,7 @@ def test_singlevaluedness_by_gauge_parity(points):
     assert opposite < 1e-10
     assert same > 0.5
 
-    zero = PullbackSection(zero_field(), ChiVariant.ODD_LINEAR)
+    zero = PullbackSection(ZERO, ChiVariant.ODD_LINEAR)
     assert singlevaluedness_residuals(zero, points) == (0.0, 0.0)
 
 
@@ -379,11 +379,11 @@ def test_family_members_match_polynomial_field(seed, members, terms, complex_coe
         values = family(x)
         assert values.shape == (members,) + x.shape[:-1]
         composite = (2.0 * family * X1 - family.reflect())(x)
-        sections = section_from_odd(odd_family).values(x)
+        sections = section_values(section_from_odd(odd_family), x)
         for i, single in enumerate(singles):
             assert np.array_equal(values[i], single(x))
             assert np.array_equal(composite[i], (2.0 * single * X1 - single.reflect())(x))
-            assert np.array_equal(sections[i], section_from_odd(odd_singles[i]).values(x))
+            assert np.array_equal(sections[i], section_values(section_from_odd(odd_singles[i]), x))
     assert np.array_equal(family(point), [single(point) for single in singles])
 
 

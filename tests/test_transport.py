@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import constant_curve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,6 @@ from spinbundles.transport import (
     MIN_STEPS,
     Curve,
     antipodal_arc,
-    constant_curve,
     flatness_report,
     great_circle,
     holonomy,
