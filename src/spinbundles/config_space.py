@@ -4,9 +4,12 @@ The unconstrained configuration space is the unit sphere S2 in R^3; the
 constrained one is the projective plane RP2 obtained by identifying antipodal
 points.  RP2 is covered by the three affine charts U_a = {[x] : x_a != 0},
 and sqrt(x_a^2) gives a subordinate partition of unity with
-sum_a phi_a^2 = 1.  The scalar chart queries (project, chart_contains,
-chart_map, chart_inverse, partition_phi) read a point's own float
-coordinates; SpherePoint.vec builds a fresh array and is for array callers.
+sum_a phi_a^2 = 1.  A point [x] of RP2 is the canonical SpherePoint that
+project returns.  The chart queries (chart_contains, chart_map,
+partition_phi, ChartAtlas.charts_containing) are even in x, so they accept
+either representative; like project and chart_inverse they read a point's
+own float coordinates.  SpherePoint.vec builds a fresh array and is for
+array callers.
 """
 
 from __future__ import annotations
@@ -99,26 +102,15 @@ def antipode_angles(theta, phi):
     return math.pi - np.asarray(theta), (np.asarray(phi) + math.pi) % TWO_PI
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point [x] of RP2, stored through its canonical representative."""
-
-    rep: SpherePoint
-
-    @property
-    def vec(self) -> np.ndarray:
-        return self.rep.vec
-
-
-def project(p: SpherePoint) -> ProjectivePoint:
-    """Canonical projection S2 -> RP2; project(x) == project(-x).
+def project(p: SpherePoint) -> SpherePoint:
+    """Canonical projection S2 -> RP2: the representative of [x]; project(x) == project(-x).
 
     The first coordinate with |x_i| > COORD_EPS is made positive; every unit
     vector has max_i |x_i| >= 1/sqrt(3), so the scan always finds one.
     """
     for c in (p.x1, p.x2, p.x3):
         if abs(c) > COORD_EPS:
-            return ProjectivePoint(-p if c < 0 else p)
+            return -p if c < 0 else p
     raise GeometryError("no coordinate exceeds the zero threshold")
 
 
@@ -139,28 +131,26 @@ class GroupElement:
 SWAP = GroupElement(-1)
 
 
-def chart_contains(alpha: int, q: ProjectivePoint) -> bool:
+def chart_contains(alpha: int, q: SpherePoint) -> bool:
     _check_alpha(alpha)
-    r = q.rep
-    return abs((r.x1, r.x2, r.x3)[alpha - 1]) > COORD_EPS
+    return abs((q.x1, q.x2, q.x3)[alpha - 1]) > COORD_EPS
 
 
-def chart_map(alpha: int, q: ProjectivePoint) -> tuple[float, float]:
+def chart_map(alpha: int, q: SpherePoint) -> tuple[float, float]:
     """Affine coordinates on U_alpha: the two remaining coordinate ratios.
 
     alpha=1 -> (x2/x1, x3/x1); alpha=2 -> (x1/x2, x3/x2); alpha=3 -> (x1/x3, x2/x3).
     Ratios are even in x, so the value does not depend on the representative.
     """
     _check_alpha(alpha)
-    r = q.rep
-    v = [r.x1, r.x2, r.x3]
+    v = [q.x1, q.x2, q.x3]
     d = v.pop(alpha - 1)
     if abs(d) <= COORD_EPS:
         raise ChartDomainError(f"point outside chart U_{alpha}")
     return v[0] / d, v[1] / d
 
 
-def chart_inverse(alpha: int, uv) -> ProjectivePoint:
+def chart_inverse(alpha: int, uv) -> SpherePoint:
     """Inverse of chart_map: insert 1 at slot alpha, normalize, project.
 
     Any finite pair is a chart coordinate; where its norm overflows, (1, u, w)
@@ -180,11 +170,10 @@ def chart_inverse(alpha: int, uv) -> ProjectivePoint:
     return project(SpherePoint(*v))
 
 
-def partition_phi(alpha: int, q: ProjectivePoint) -> float:
+def partition_phi(alpha: int, q: SpherePoint) -> float:
     """Partition-of-unity function sqrt(x_alpha^2) = |x_alpha|; sum of squares is 1."""
     _check_alpha(alpha)
-    r = q.rep
-    return abs((r.x1, r.x2, r.x3)[alpha - 1])
+    return abs((q.x1, q.x2, q.x3)[alpha - 1])
 
 
 class ChartAtlas:
@@ -192,9 +181,8 @@ class ChartAtlas:
 
     indices = CHART_INDICES
 
-    def charts_containing(self, q: ProjectivePoint) -> tuple[int, ...]:
-        r = q.rep
-        return tuple(a for a, c in zip(self.indices, (r.x1, r.x2, r.x3)) if abs(c) > COORD_EPS)
+    def charts_containing(self, q: SpherePoint) -> tuple[int, ...]:
+        return tuple(a for a, c in zip(self.indices, (q.x1, q.x2, q.x3)) if abs(c) > COORD_EPS)
 
 
 ATLAS = ChartAtlas()

@@ -30,7 +30,6 @@ from .line_bundle import ChiVariant
 from .section_algebra import (
     PullbackSection,
     ScalarField,
-    SectionXi,
     invariance_residual,
     parity_decompose,
     pullback_T,
@@ -253,32 +252,41 @@ def _residual_record(sigma: PullbackSection, action, xs: np.ndarray) -> dict:
     }
 
 
-def five_step_experiment(
-    source: SectionXi,
+def five_step_from_coefficient(
+    a: ScalarField,
     chi_variant: ChiVariant,
     points: np.ndarray,
     tol: float = sa.FUNCTIONAL_TOL,
 ) -> FiveStepReport:
-    """Run the five-step gauge comparison for a downstairs section.
+    """Run the five-step gauge comparison from a raw coefficient function a.
 
-    1. take the section; 2. lift it to the pull-back bundle in its own odd
-    gauge; 3. measure invariance and valuedness there; 4. transfer to the
-    target gauge and verify the transfer intertwines the two actions;
-    5. measure the same residuals in the target gauge.  Verdict flags come
-    from step 5 (suppressed for near-zero sections).
+    1. take the section: an odd a determines the section f_a = x_a a
+       downstairs; a coefficient with an even part comes from no section, so
+       step 1 records that defect and the raw pull-back section a(x) x is used;
+    2. lift the section to the pull-back bundle in the odd linear gauge;
+    3. measure invariance and valuedness there;
+    4. transfer to the target gauge and verify that the transfer intertwines
+       the two actions;
+    5. measure the same residuals in the target gauge.
+    The verdict flags come from step 5; they are None for a near-zero section.
     """
     xs = np.asarray(points, dtype=float)
-    step1 = {
-        "coefficients": [f.name for f in source.fields],
-        "projector_residual": source.projector_residual(sa.validation_grid()),
-    }
-    return _five_step_tail(step1, pullback_T(source), chi_variant, xs, tol)
+    _, odd = sa.sampled_parity(a, "odd")
+    if odd:
+        source = section_from_odd(replace(a, parity="odd"))
+        step1 = {
+            "coefficients": [f.name for f in source.fields],
+            "projector_residual": source.projector_residual(sa.validation_grid()),
+        }
+        sigma = pullback_T(source)
+    else:
+        step1 = {
+            "coefficients": [a.name],
+            "projector_residual": None,  # JSON null: there is no section to measure
+            "note": "coefficient has an even part; not the image of any section",
+        }
+        sigma = PullbackSection(a)
 
-
-def _five_step_tail(
-    step1: dict, sigma: PullbackSection, chi_variant: ChiVariant, xs: np.ndarray, tol: float
-) -> FiveStepReport:
-    """Steps 2-5 and the verdict for a pull-back section in its own gauge."""
     action3 = lb.tau_tilde(sigma.variant)
     step2 = {
         "gauge": sigma.variant.value,
@@ -307,34 +315,6 @@ def _five_step_tail(
     return FiveStepReport(
         chi_variant.value, step1, step2, step3, step4, step5, inv, sv, anti, vacuous, tol
     )
-
-
-def five_step_from_coefficient(
-    a: ScalarField,
-    chi_variant: ChiVariant,
-    points: np.ndarray,
-    tol: float = sa.FUNCTIONAL_TOL,
-) -> FiveStepReport:
-    """Five-step run from a raw coefficient function.
-
-    An odd coefficient determines a genuine section and the full experiment
-    runs on it.  A coefficient with an even part does not come from any
-    section downstairs; the residual analysis still runs on the raw
-    pull-back-bundle section it defines, and step 1 records the defect.
-    Either way the source gauge is the odd linear one.
-    """
-    xs = np.asarray(points, dtype=float)
-    _, odd = sa.sampled_parity(a, "odd")
-    if odd:
-        source = section_from_odd(replace(a, parity="odd"))
-        return five_step_experiment(source, chi_variant, xs, tol)
-
-    step1 = {
-        "coefficients": [a.name],
-        "projector_residual": None,  # JSON null: there is no section to measure
-        "note": "coefficient has an even part; not the image of any section",
-    }
-    return _five_step_tail(step1, PullbackSection(a), chi_variant, xs, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +402,7 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
         for a, b, c in itertools.product(inside, repeat=3):
             cocycle_defect = max(cocycle_defect, abs(sign[a, b] * sign[b, c] - sign[a, c]))
-        z = (0.3 - 0.7j) * lb.chi(ChiVariant.ODD_LINEAR, q.rep)
+        z = (0.3 - 0.7j) * lb.chi(ChiVariant.ODD_LINEAR, q)
         fiber = {a: lb.local_trivialization(a, q, z) for a in inside}
         for a, b in itertools.product(inside, repeat=2):
             cocycle_defect = max(cocycle_defect, abs(fiber[b] - sign[a, b] * fiber[a]))
@@ -708,12 +688,15 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         tol_f,
     )
 
+    # A conjugated frame is orthonormal and obeys the exchange rule too, so
+    # the frames must also be the columns U(r)|M> themselves.
     frames = br.moved_product_frames(theta[:256], phi[:256])
     gram = np.einsum("...ia,...ib->...ab", frames.conj(), frames)
+    direct = u10 @ np.column_stack([br.product_vector(lbl) for lbl in br.PRODUCT_LABELS])
     record(
         "exchange.moved-orthonormal",
         "the moved basis has identity Gram matrix",
-        float(np.abs(gram - np.eye(4)).max()),
+        max(float(np.abs(gram - np.eye(4)).max()), float(np.abs(frames - direct).max())),
         tol_a,
     )
 

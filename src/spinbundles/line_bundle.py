@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config_space import GroupElement, ProjectivePoint, SpherePoint, chart_contains
+from .config_space import GroupElement, SpherePoint, chart_contains
 from .errors import BindingError, ChartDomainError, FiberMembershipError, GeometryError, ParityError
 
 # Relative tolerance for deciding that a vector lies in a fiber line.
@@ -176,29 +176,27 @@ def trace_defect(p: np.ndarray) -> float:
     return float(np.abs(tr - 1).max())
 
 
-def transition(alpha: int, beta: int, q: ProjectivePoint) -> int:
+def transition(alpha: int, beta: int, q: SpherePoint) -> int:
     """Transition function of the line bundle on U_alpha ∩ U_beta: sign(x_a x_b)."""
     in_alpha, in_beta = chart_contains(alpha, q), chart_contains(beta, q)  # checks both indices
     if not (in_alpha and in_beta):
         raise ChartDomainError(f"point outside the overlap U_{alpha} ∩ U_{beta}")
-    r = q.rep
-    v = (r.x1, r.x2, r.x3)
+    v = (q.x1, q.x2, q.x3)
     return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
 
 
-def local_trivialization(alpha: int, q: ProjectivePoint, z: np.ndarray) -> complex:
+def local_trivialization(alpha: int, q: SpherePoint, z: np.ndarray) -> complex:
     """Fiber coordinate over U_alpha: v = sign(x_alpha) * lambda.
 
-    lambda is extracted against the linear gauge chi(x) = x at the canonical
-    representative, which resolves the two-valued lambda vs. -lambda
-    ambiguity deterministically.  Compatible with the transitions:
+    lambda is extracted against the linear gauge chi(x) = x at the given
+    representative; both lambda and sign(x_alpha) flip with it, so v is the
+    same at x and -x.  Compatible with the transitions:
     v_beta = sign(x_alpha x_beta) v_alpha.
     """
     if not chart_contains(alpha, q):
         raise ChartDomainError(f"point outside chart U_{alpha}")
     lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q.vec, z)
-    r = q.rep
-    sign = 1.0 if (r.x1, r.x2, r.x3)[alpha - 1] > 0 else -1.0
+    sign = 1.0 if (q.x1, q.x2, q.x3)[alpha - 1] > 0 else -1.0
     return sign * lam
 
 

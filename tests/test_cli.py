@@ -197,6 +197,19 @@ def test_experiment_json(capsys):
     }
 
 
+def test_experiment_zero_field_is_vacuous(capsys):
+    code, out, _ = run_cli(capsys, "experiment", "--field", "0*x3", "--samples", "256")
+    assert code == 0
+    assert "  verdict: vacuous (section is numerically zero)\n" in out
+    code, out, _ = run_cli(
+        capsys, "experiment", "--field", "0*x3", "--samples", "256", "--format", "json"
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["vacuous"] is True
+    assert payload["verdict"] == {"invariant": None, "singlevalued": None, "anti_singlevalued": None}
+
+
 def test_experiment_json_is_strict_for_even_coefficient(capsys):
     # A coefficient with an even part has no section to measure in step 1;
     # its residual must be JSON null, since strict parsers reject NaN.

@@ -24,7 +24,6 @@ from spinbundles.experiments import (
     FiveStepReport,
     SuiteConfig,
     checks_hit_by_fault,
-    five_step_experiment,
     five_step_from_coefficient,
     gauge_intertwine_residual,
     run_suite,
@@ -152,8 +151,7 @@ def test_config_dict_follows_the_dataclass():
 
 
 def test_five_step_odd_gauge_run(points):
-    source = section_from_odd(coordinate_field(3))
-    report = five_step_experiment(source, ChiVariant.ODD_LINEAR, points)
+    report = five_step_from_coefficient(coordinate_field(3), ChiVariant.ODD_LINEAR, points)
     assert report.invariant is True
     assert report.singlevalued is True
     assert report.anti_singlevalued is False
@@ -163,8 +161,7 @@ def test_five_step_odd_gauge_run(points):
 
 
 def test_five_step_even_gauge_run(points):
-    source = section_from_odd(coordinate_field(3))
-    report = five_step_experiment(source, ChiVariant.EVEN_CONSTANT, points)
+    report = five_step_from_coefficient(coordinate_field(3), ChiVariant.EVEN_CONSTANT, points)
     assert report.invariant is True
     assert report.singlevalued is False
     assert report.anti_singlevalued is True
@@ -174,18 +171,16 @@ def test_five_step_even_gauge_run(points):
 
 
 def test_five_step_flag_pairing(points):
-    source = section_from_odd(coordinate_field(1))
-    odd = five_step_experiment(source, ChiVariant.ODD_HARMONIC, points)
-    even = five_step_experiment(source, ChiVariant.EVEN_CONSTANT, points)
+    a = coordinate_field(1)
+    odd = five_step_from_coefficient(a, ChiVariant.ODD_HARMONIC, points)
+    even = five_step_from_coefficient(a, ChiVariant.EVEN_CONSTANT, points)
     assert odd.invariant == even.invariant
     assert odd.singlevalued == even.anti_singlevalued
     assert odd.anti_singlevalued == even.singlevalued
 
 
 def test_five_step_zero_section_vacuous(points):
-    from spinbundles.section_algebra import SectionXi
-
-    report = five_step_experiment(SectionXi(*[polynomial_field([])] * 3), ChiVariant.ODD_LINEAR, points)
+    report = five_step_from_coefficient(polynomial_field([]), ChiVariant.ODD_LINEAR, points)
     assert report.vacuous
     assert report.invariant is None and report.singlevalued is None
 
@@ -200,8 +195,7 @@ def test_five_step_from_even_contaminated_coefficient(points):
 
 
 def test_five_step_report_serializable(points):
-    source = section_from_odd(coordinate_field(3))
-    report = five_step_experiment(source, ChiVariant.ODD_LINEAR, points)
+    report = five_step_from_coefficient(coordinate_field(3), ChiVariant.ODD_LINEAR, points)
     payload = json.dumps(report.to_dict())
     assert "verdict" in json.loads(payload)
 
@@ -299,6 +293,12 @@ def _sign_flipped_singlet(singlet):
 #   exchange_line_field ignoring m: every moved line has holonomy -1, so only
 #     the orthogonality of the three frames in br.holonomy-decomposition shows
 #     that they are three lines.
+#   moved_product_frames conjugated: a conjugated frame is orthonormal and
+#     obeys the exchange rule too, so only comparing the frames with U(r)|M>
+#     in exchange.moved-orthonormal tells them apart;
+#   singlet_vector sign-flipped: product_vector reads singlet_vector at call
+#     time while the frames' lift was built at import, so the two disagree in
+#     exchange.moved-orthonormal as well.
 # One mutant is equivalent and has no row: holonomy dropping the imaginary
 # part of h. Every loop the suite transports has a real holonomy, +1 or -1 to
 # rounding, so no check can tell the two apart.
@@ -348,7 +348,12 @@ MUTANTS = {
     ),
     "singlet_vector-sign": (
         br, "singlet_vector", _sign_flipped_singlet,
-        {"exchange.rule-total-basis", "exchange.singlet-fixed"},
+        {"exchange.moved-orthonormal", "exchange.rule-total-basis", "exchange.singlet-fixed"},
+    ),
+    "moved_product_frames-conjugated": (
+        br, "moved_product_frames",
+        lambda f: lambda theta, phi, block_fn=None: f(theta, phi, block_fn).conj(),
+        {"exchange.moved-orthonormal"},
     ),
     "invariance_residual-zero": (
         section_algebra, "invariance_residual", lambda f: lambda sigma, action, points: 0.0,

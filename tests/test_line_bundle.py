@@ -6,7 +6,17 @@ import pytest
 from conftest import chart_edge_points
 from hypothesis import given, settings
 
-from spinbundles.config_space import CHART_INDICES, COORD_EPS, GroupElement, SpherePoint, project
+from spinbundles.config_space import (
+    ATLAS,
+    CHART_INDICES,
+    COORD_EPS,
+    GroupElement,
+    SpherePoint,
+    chart_contains,
+    chart_map,
+    partition_phi,
+    project,
+)
 from spinbundles.errors import (
     BindingError,
     ChartDomainError,
@@ -188,6 +198,28 @@ def test_transition_matches_array_reference(p):
             assert transition(a, b, project(-p)) == expected
 
 
+@given(chart_edge_points())
+@settings(max_examples=400, deadline=None)
+def test_chart_queries_read_either_representative(p):
+    # A point of RP2 is the SpherePoint project returns; the chart queries take
+    # p or -p in its place because each is even in x.  local_trivialization
+    # may differ in the sign of an exact zero, which == does not see.
+    z = (0.3 - 0.7j) * chi(ChiVariant.ODD_LINEAR, p)
+
+    def queries(x):
+        inside = ATLAS.charts_containing(x)
+        return (
+            inside,
+            [chart_contains(a, x) for a in CHART_INDICES],
+            [partition_phi(a, x) for a in CHART_INDICES],
+            [chart_map(a, x) for a in inside],
+            [transition(a, b, x) for a, b in itertools.product(inside, repeat=2)],
+            [local_trivialization(a, x, z) for a in inside],
+        )
+
+    assert queries(p) == queries(-p) == queries(project(p))
+
+
 @pytest.mark.parametrize("alpha", [1.0, True, np.float64(2.0), "1", None, 0, 4])
 def test_transition_rejects_non_chart_indices(alpha):
     q = project(SpherePoint(0.6, 0.0, 0.8))
@@ -202,12 +234,12 @@ def test_transition_rejects_non_chart_indices(alpha):
 
 def test_local_trivialization_examples():
     q = project(SpherePoint(1.0, 0.0, 0.0))
-    z = 2.0 * chi(ChiVariant.ODD_LINEAR, q.rep)
+    z = 2.0 * chi(ChiVariant.ODD_LINEAR, q)
     assert local_trivialization(1, q, z) == pytest.approx(2.0)
 
     s = 1.0 / math.sqrt(2.0)
     q2 = project(SpherePoint(s, -s, 0.0))
-    z2 = (1.5 - 0.5j) * chi(ChiVariant.ODD_LINEAR, q2.rep)
+    z2 = (1.5 - 0.5j) * chi(ChiVariant.ODD_LINEAR, q2)
     v1 = local_trivialization(1, q2, z2)
     v2 = local_trivialization(2, q2, z2)
     # transition compatibility: v2 = sign(x1 x2) v1 = -v1
