@@ -10,8 +10,13 @@ partition_phi, ChartAtlas.charts_containing) are even in x, so they accept
 either representative; like project and chart_inverse they read a point's
 own float coordinates.  SpherePoint.vec builds a fresh array and is for
 array callers.
-"""
 
+antipode, project, chart_contains and partition_phi take a SpherePoint or
+an (N, 3) array of unit vectors, one point per row; an array gives an array
+of the per-point answers, equal row by row to the SpherePoint form, and
+every row is checked.  chart_map, chart_inverse and charts_containing take
+a SpherePoint only.
+"""
 from __future__ import annotations
 
 import math
@@ -92,8 +97,8 @@ class SpherePoint:
         return SpherePoint(-self.x1, -self.x2, -self.x3)
 
 
-def antipode(p: SpherePoint) -> SpherePoint:
-    """The free Z2 action on the sphere, x -> -x."""
+def antipode(p: SpherePoint | np.ndarray) -> SpherePoint | np.ndarray:
+    """The free Z2 action on the sphere, x -> -x, of a point or of each row of an array."""
     return -p
 
 
@@ -102,16 +107,37 @@ def antipode_angles(theta, phi):
     return math.pi - np.asarray(theta), (np.asarray(phi) + math.pi) % TWO_PI
 
 
-def project(p: SpherePoint) -> SpherePoint:
+def project(p: SpherePoint | np.ndarray) -> SpherePoint | np.ndarray:
     """Canonical projection S2 -> RP2: the representative of [x]; project(x) == project(-x).
 
     The first coordinate with |x_i| > COORD_EPS is made positive; every unit
-    vector has max_i |x_i| >= 1/sqrt(3), so the scan always finds one.
+    vector has max_i |x_i| >= 1/sqrt(3), so the scan always finds one.  An
+    (N, 3) array gives the (N, 3) array of representatives.
     """
-    for c in (p.x1, p.x2, p.x3):
-        if abs(c) > COORD_EPS:
-            return -p if c < 0 else p
-    raise GeometryError("no coordinate exceeds the zero threshold")
+    if isinstance(p, SpherePoint):
+        for c in (p.x1, p.x2, p.x3):
+            if abs(c) > COORD_EPS:
+                return -p if c < 0 else p
+        raise GeometryError("no coordinate exceeds the zero threshold")
+    xs = _point_rows(p)
+    big = np.abs(xs) > COORD_EPS
+    if not big.any(axis=1).all():
+        raise GeometryError("no coordinate exceeds the zero threshold")
+    lead = xs[np.arange(len(xs)), big.argmax(axis=1)]
+    return np.where((lead < 0)[:, None], -xs, xs)
+
+
+def _point_rows(xs) -> np.ndarray:
+    """xs as an (N, 3) float array whose every row lies on the unit sphere."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != 3:
+        raise GeometryError(f"an array of points needs shape (N, 3), not {xs.shape}")
+    n = xs[:, 0] * xs[:, 0] + xs[:, 1] * xs[:, 1] + xs[:, 2] * xs[:, 2]
+    off = ~(np.abs(n - 1.0) <= SPHERE_TOL)  # NaN rows are off too
+    if off.any():
+        i = int(off.argmax())
+        raise GeometryError(f"point not on the unit sphere: row {i} has |x|^2 = {n[i]!r}")
+    return xs
 
 
 @dataclass(frozen=True)
@@ -124,16 +150,19 @@ class GroupElement:
         if self.sign not in (1, -1):
             raise GeometryError("group element sign must be +1 or -1")
 
-    def apply(self, p: SpherePoint) -> SpherePoint:
+    def apply(self, p: SpherePoint | np.ndarray) -> SpherePoint | np.ndarray:
         return antipode(p) if self.sign == -1 else p
 
 
 SWAP = GroupElement(-1)
 
 
-def chart_contains(alpha: int, q: SpherePoint) -> bool:
+def chart_contains(alpha: int, q: SpherePoint | np.ndarray) -> bool | np.ndarray:
+    """Whether [x] lies in U_alpha, |x_alpha| > COORD_EPS; an (N, 3) array gives (N,) bools."""
     _check_alpha(alpha)
-    return abs((q.x1, q.x2, q.x3)[alpha - 1]) > COORD_EPS
+    if isinstance(q, SpherePoint):
+        return abs((q.x1, q.x2, q.x3)[alpha - 1]) > COORD_EPS
+    return np.abs(_point_rows(q)[:, alpha - 1]) > COORD_EPS
 
 
 def chart_map(alpha: int, q: SpherePoint) -> tuple[float, float]:
@@ -170,10 +199,15 @@ def chart_inverse(alpha: int, uv) -> SpherePoint:
     return project(SpherePoint(*v))
 
 
-def partition_phi(alpha: int, q: SpherePoint) -> float:
-    """Partition-of-unity function sqrt(x_alpha^2) = |x_alpha|; sum of squares is 1."""
+def partition_phi(alpha: int, q: SpherePoint | np.ndarray) -> float | np.ndarray:
+    """Partition-of-unity function sqrt(x_alpha^2) = |x_alpha|; sum of squares is 1.
+
+    An (N, 3) array gives the (N,) values.
+    """
     _check_alpha(alpha)
-    return abs((q.x1, q.x2, q.x3)[alpha - 1])
+    if isinstance(q, SpherePoint):
+        return abs((q.x1, q.x2, q.x3)[alpha - 1])
+    return np.abs(_point_rows(q)[:, alpha - 1])
 
 
 class ChartAtlas:

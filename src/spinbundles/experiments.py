@@ -44,9 +44,14 @@ DETECTION_LEVEL = 1e-3
 MAX_SAMPLES = 1 << 20  # bounds the (samples, 3) arrays and what is built from them
 # Points on, or within COORD_EPS of, a chart boundary x_a = 0, which uniform
 # samples never hit: the three axes and two seams.
-_CHART_BOUNDARY_POINTS = tuple(
-    SpherePoint(*v) for v in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1e-13, 0.6, 0.8))
+_CHART_BOUNDARY_POINTS = np.array(
+    [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1e-13, 0.6, 0.8)]
 )
+
+
+def _cabs(z: np.ndarray) -> np.ndarray:
+    """|z| of a complex array as hypot, bit for bit the abs of each element as a Python complex."""
+    return np.hypot(z.real, z.imag)
 
 
 def _check_sampling(seed: int, samples: int, tol_functional: float) -> None:
@@ -347,22 +352,18 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     tol_h = config.tol_holonomy
 
     # -- base space and charts ----------------------------------------------
-    points = [SpherePoint(*v) for v in xs.tolist()]
-    qs = [project(x) for x in points]
-    flipped = np.array([(y.x1, y.x2, y.x3) for y in map(antipode, points)])
-    dist = np.linalg.norm(xs - flipped, axis=1)
+    dist = np.linalg.norm(xs - antipode(xs), axis=1)
     record("base.antipode-free", "|x - (-x)| = 2: the flip acts freely", np.abs(dist - 2).max(), tol_a)
 
-    reps = np.array([q.vec for q in qs[:256]])
-    reps_neg = np.array([project(-x).vec for x in points[:256]])
+    qs = project(xs)
     record(
         "base.project-antipode",
         "project(x) = project(-x)",
-        np.abs(reps - reps_neg).max(),
+        np.abs(qs[:256] - project(-xs[:256])).max(),
         0.0,
     )
 
-    phi = np.array([[partition_phi(a, q) for a in CHART_INDICES] for q in qs])
+    phi = np.column_stack([partition_phi(a, qs) for a in CHART_INDICES])
     record(
         "charts.partition-unity",
         "sum_a phi_a([x])^2 = 1",
@@ -370,16 +371,19 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
         tol_a,
     )
 
+    # The samples must also reach every octant's sign in each coordinate: the
+    # count of (coordinate, sign) pairs that no sample takes is exact, and 0.
     coverage = phi.max(axis=1).min()
+    missed_signs = 6 - int((xs > 0).any(axis=0).sum() + (xs < 0).any(axis=0).sum())
     record(
         "charts.cover",
         "max_a |x_a| >= 1/sqrt(3): the three charts cover everything",
-        shortfall(coverage, 1.0 / np.sqrt(3.0) - 1e-12),
+        max(shortfall(coverage, 1.0 / np.sqrt(3.0) - 1e-12), missed_signs),
         0.0,
     )
 
     worst = 0.0
-    for q in qs[:128]:
+    for q in (SpherePoint(*v) for v in qs[:128].tolist()):
         inside = ATLAS.charts_containing(q)
         direct = {b_idx: chart_map(b_idx, q) for b_idx in inside}
         for a_idx in inside:
@@ -396,18 +400,33 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     # must also carry each chart's fiber coordinate into the next: v_b = g_ab v_a.
     # Real transitions carry conjugated coordinates as well, so the first
     # chart's coordinate must also be complex linear: v_a(i z) = i v_a(z).
+    # Each query runs on the rows inside its charts; the other rows keep 0,
+    # and a scalar membership answer stands for every row.
+    cq = np.concatenate([qs[:512], project(_CHART_BOUNDARY_POINTS)])
+    inside = {a: np.broadcast_to(chart_contains(a, cq), len(cq)) for a in CHART_INDICES}
+    sign = {}
+    for a, b in itertools.product(CHART_INDICES, repeat=2):
+        rows = inside[a] & inside[b]
+        sign[a, b] = np.zeros(len(cq))
+        sign[a, b][rows] = lb.transition(a, b, cq[rows])
     cocycle_defect = 0.0
-    for q in [*qs[:512], *map(project, _CHART_BOUNDARY_POINTS)]:
-        inside = [a for a in CHART_INDICES if chart_contains(a, q)]
-        sign = {(a, b): lb.transition(a, b, q) for a, b in itertools.product(inside, repeat=2)}
-        for a, b, c in itertools.product(inside, repeat=3):
-            cocycle_defect = max(cocycle_defect, abs(sign[a, b] * sign[b, c] - sign[a, c]))
-        z = (0.3 - 0.7j) * lb.chi(ChiVariant.ODD_LINEAR, q)
-        fiber = {a: lb.local_trivialization(a, q, z) for a in inside}
-        for a, b in itertools.product(inside, repeat=2):
-            cocycle_defect = max(cocycle_defect, abs(fiber[b] - sign[a, b] * fiber[a]))
-        a = inside[0]
-        cocycle_defect = max(cocycle_defect, abs(lb.local_trivialization(a, q, 1j * z) - 1j * fiber[a]))
+    for a, b, c in itertools.product(CHART_INDICES, repeat=3):
+        rows = inside[a] & inside[b] & inside[c]
+        defect = np.abs(sign[a, b] * sign[b, c] - sign[a, c])[rows]
+        cocycle_defect = max(cocycle_defect, defect.max(initial=0.0))
+    z = (0.3 - 0.7j) * ChiVariant.ODD_LINEAR.field.vector(cq)
+    fiber = {}
+    for a in CHART_INDICES:
+        fiber[a] = np.zeros(len(cq), dtype=complex)
+        fiber[a][inside[a]] = lb.local_trivialization(a, cq[inside[a]], z[inside[a]])
+    for a, b in itertools.product(CHART_INDICES, repeat=2):
+        defect = _cabs(fiber[b] - sign[a, b] * fiber[a])[inside[a] & inside[b]]
+        cocycle_defect = max(cocycle_defect, defect.max(initial=0.0))
+    first = np.argmax([inside[a] for a in CHART_INDICES], axis=0) + 1
+    for a in CHART_INDICES:
+        rows = first == a
+        scaled = lb.local_trivialization(a, cq[rows], 1j * z[rows])
+        cocycle_defect = max(cocycle_defect, _cabs(scaled - 1j * fiber[a][rows]).max(initial=0.0))
     record("charts.cocycle", "g_ab g_bc = g_ac on triple overlaps", cocycle_defect, 0.0)
 
     # -- projector fields ------------------------------------------------------
@@ -426,36 +445,33 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
 
     g = GroupElement(-1)
     worst = 0.0
-    actions = (lb.tau_plus(), lb.tau_minus(), lb.tau_tilde(), lb.tau_prime())
-    for x, lam in zip(points[:64], np.linspace(-2, 2, 64)):
-        for action in actions:
-            if action.label in (lb.ActionLabel.TAU_TILDE, lb.ActionLabel.TAU_PRIME):
-                vec = (lam + 0.5j) * lb.chi(action.chi_variant, x)
-            else:
-                vec = np.array([lam, 0.2j, 1.0])
-            y1, w1 = lb.group_act(action, g, x, vec)
-            y2, w2 = lb.group_act(action, g, y1, w1)
-            worst = max(
-                worst,
-                float(np.linalg.norm(y1.vec + x.vec)),
-                float(np.linalg.norm(y2.vec - x.vec)),
-                float(np.abs(w2 - vec).max()),
-            )
+    x, lam = xs[:64], np.linspace(-2, 2, 64)
+    for action in (lb.tau_plus(), lb.tau_minus(), lb.tau_tilde(), lb.tau_prime()):
+        if action.label in (lb.ActionLabel.TAU_TILDE, lb.ActionLabel.TAU_PRIME):
+            vec = (lam + 0.5j)[:, None] * action.chi_variant.field.vector(x)
+        else:
+            vec = np.column_stack([lam, np.full(len(x), 0.2j), np.ones(len(x))])
+        y1, w1 = lb.group_act(action, g, x, vec)
+        y2, w2 = lb.group_act(action, g, y1, w1)
+        worst = max(
+            worst,
+            float(np.linalg.norm(y1 + x, axis=1).max()),
+            float(np.linalg.norm(y2 - x, axis=1).max()),
+            float(np.abs(w2 - vec).max()),
+        )
     record("bundle.action-involution", "tau_g tau_g = id for g^2 = e", worst, 1e-14)
 
-    worst = 0.0
-    for x, lam in zip(points[:1000], rng.standard_normal(1000) + 1j * rng.standard_normal(1000)):
-        z = lam * lb.chi(ChiVariant.ODD_LINEAR, x)
-        _, moved = lb.group_act(lb.tau_tilde(), g, x, z)
-        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-x.vec, moved)
-        worst = max(worst, abs(coeff - (-lam)))
+    lam = (rng.standard_normal(1000) + 1j * rng.standard_normal(1000))[: len(xs)]
+    x = xs[: len(lam)]
+    z = lam[:, None] * ChiVariant.ODD_LINEAR.field.vector(x)
+    _, moved = lb.group_act(lb.tau_tilde(), g, x, z)
+    coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-x, moved)
     record(
         "bundle.tilde-equals-minus",
         "the pull-back action reads as the sign flip in the odd gauge coordinate",
-        worst,
+        _cabs(coeff - (-lam)).max(),
         tol_a,
     )
-    del points, qs  # frees the point objects before the transports set the peak memory
 
     # -- section algebra -------------------------------------------------------
     # Each random-polynomial check runs on one family: the coefficients of

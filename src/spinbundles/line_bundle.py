@@ -9,6 +9,12 @@ and its projector |chi><chi| is even, so it descends to RP2; the even chi
 presents an isomorphic copy of the pulled-back bundle in a different gauge.
 fiber_coordinate alone decides fiber membership (z = lambda u(x) to within
 FIBER_RTOL).  Transition functions of the affine atlas are sign(x_a x_b).
+
+transition, local_trivialization and group_act take a SpherePoint or an
+(N, 3) array of unit vectors with one fiber vector per row;
+fiber_coordinate takes one unit vector x of shape (3,) or an (N, 3) array.
+An array gives the per-point answers, equal row by row to the one-point
+form, and the chart and fiber checks hold for every row.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config_space import GroupElement, SpherePoint, chart_contains
+from .config_space import GroupElement, SpherePoint, _point_rows, chart_contains
 from .errors import BindingError, ChartDomainError, FiberMembershipError, GeometryError, ParityError
 
 # Relative tolerance for deciding that a vector lies in a fiber line.
@@ -59,20 +65,42 @@ class ProjectorField:
         """Unit spanning vector of the fiber line at x."""
         return self.vector(x.vec)
 
-    def fiber_coordinate(self, x: np.ndarray, z: np.ndarray) -> complex:
-        """Extract lambda with z = lambda * u(x) at a unit vector x, rejecting off-line z."""
+    def fiber_coordinate(self, x: np.ndarray, z: np.ndarray) -> complex | np.ndarray:
+        """Extract lambda with z = lambda * u(x) at a unit vector x, rejecting off-line z.
+
+        An (N, 3) array x with (N, n) vectors z gives the (N,) coordinates,
+        and every row must lie on its line.
+        """
         z = np.asarray(z, dtype=complex)
         u = self.vector(x)
         if z.shape != u.shape:  # vdot flattens, and the residual would broadcast
             raise FiberMembershipError(f"a fiber vector needs shape {u.shape}, not {z.shape}")
-        lam = complex(np.vdot(u, z))
-        r = z - lam * u
-        residual = math.sqrt(np.vdot(r, r).real)
-        if not residual <= FIBER_RTOL * max(math.sqrt(np.vdot(z, z).real), 1e-300):  # NaN fails too
+        if u.ndim == 1:
+            lam = complex(np.vdot(u, z))
+            r = z - lam * u
+            residual = math.sqrt(np.vdot(r, r).real)
+            if not residual <= FIBER_RTOL * max(math.sqrt(np.vdot(z, z).real), 1e-300):  # NaN fails too
+                raise FiberMembershipError(
+                    f"vector is not in the fiber line (off-line residual {residual:.3e})"
+                )
+            return lam
+        if u.ndim != 2:
+            raise FiberMembershipError(f"fiber vectors need shape (N, n), not {u.shape}")
+        lam = _row_vdot(u, z)  # the (1, n) @ (n, 1) product per row sums as np.vdot does
+        r = z - lam[:, None] * u
+        residual = np.sqrt(_row_vdot(r, r).real)
+        off = ~(residual <= FIBER_RTOL * np.maximum(np.sqrt(_row_vdot(z, z).real), 1e-300))
+        if off.any():
+            i = int(off.argmax())
             raise FiberMembershipError(
-                f"vector is not in the fiber line (off-line residual {residual:.3e})"
+                f"vector is not in the fiber line (row {i}, off-line residual {residual[i]:.3e})"
             )
         return lam
+
+
+def _row_vdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.vdot(a[i], b[i]) for every row i of two (N, n) arrays, bit for bit."""
+    return (a.conj()[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def linear_line_field(c: np.ndarray, name: str) -> ProjectorField:
@@ -176,28 +204,43 @@ def trace_defect(p: np.ndarray) -> float:
     return float(np.abs(tr - 1).max())
 
 
-def transition(alpha: int, beta: int, q: SpherePoint) -> int:
-    """Transition function of the line bundle on U_alpha ∩ U_beta: sign(x_a x_b)."""
+def transition(alpha: int, beta: int, q: SpherePoint | np.ndarray) -> int | np.ndarray:
+    """Transition function of the line bundle on U_alpha ∩ U_beta: sign(x_a x_b).
+
+    An (N, 3) array gives the (N,) signs; every row must lie in the overlap.
+    """
     in_alpha, in_beta = chart_contains(alpha, q), chart_contains(beta, q)  # checks both indices
-    if not (in_alpha and in_beta):
-        raise ChartDomainError(f"point outside the overlap U_{alpha} ∩ U_{beta}")
-    v = (q.x1, q.x2, q.x3)
-    return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
+    if isinstance(q, SpherePoint):
+        if not (in_alpha and in_beta):
+            raise ChartDomainError(f"point outside the overlap U_{alpha} ∩ U_{beta}")
+        v = (q.x1, q.x2, q.x3)
+        return 1 if v[alpha - 1] * v[beta - 1] > 0 else -1
+    if not np.logical_and(in_alpha, in_beta).all():
+        raise ChartDomainError(f"a point outside the overlap U_{alpha} ∩ U_{beta}")
+    q = np.asarray(q, dtype=float)
+    return np.where(q[:, alpha - 1] * q[:, beta - 1] > 0, 1, -1)
 
 
-def local_trivialization(alpha: int, q: SpherePoint, z: np.ndarray) -> complex:
+def local_trivialization(alpha: int, q: SpherePoint | np.ndarray, z: np.ndarray) -> complex | np.ndarray:
     """Fiber coordinate over U_alpha: v = sign(x_alpha) * lambda.
 
     lambda is extracted against the linear gauge chi(x) = x at the given
     representative; both lambda and sign(x_alpha) flip with it, so v is the
     same at x and -x.  Compatible with the transitions:
-    v_beta = sign(x_alpha x_beta) v_alpha.
+    v_beta = sign(x_alpha x_beta) v_alpha.  An (N, 3) array with (N, 3)
+    vectors z gives the (N,) coordinates; every row must lie in U_alpha.
     """
-    if not chart_contains(alpha, q):
-        raise ChartDomainError(f"point outside chart U_{alpha}")
-    lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q.vec, z)
-    sign = 1.0 if (q.x1, q.x2, q.x3)[alpha - 1] > 0 else -1.0
-    return sign * lam
+    if isinstance(q, SpherePoint):
+        if not chart_contains(alpha, q):
+            raise ChartDomainError(f"point outside chart U_{alpha}")
+        lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q.vec, z)
+        sign = 1.0 if (q.x1, q.x2, q.x3)[alpha - 1] > 0 else -1.0
+        return sign * lam
+    if not np.all(chart_contains(alpha, q)):
+        raise ChartDomainError(f"a point outside chart U_{alpha}")
+    q = np.asarray(q, dtype=float)
+    lam = ChiVariant.ODD_LINEAR.field.fiber_coordinate(q, z)
+    return np.where(q[:, alpha - 1] > 0, 1.0, -1.0) * lam
 
 
 class ActionLabel(enum.Enum):
@@ -245,21 +288,28 @@ def tau_prime(variant: ChiVariant = ChiVariant.EVEN_CONSTANT) -> GroupAction:
 
 
 def group_act(
-    action: GroupAction, g: GroupElement, x: SpherePoint, v: np.ndarray
-) -> tuple[SpherePoint, np.ndarray]:
-    """Apply one of the four bundle actions to the element (x, v)."""
+    action: GroupAction, g: GroupElement, x: SpherePoint | np.ndarray, v: np.ndarray
+) -> tuple[SpherePoint | np.ndarray, np.ndarray]:
+    """Apply one of the four bundle actions to the element (x, v).
+
+    An (N, 3) array x with (N, 3) vectors v acts on every row.
+    """
     v = np.asarray(v, dtype=complex)
+    point = isinstance(x, SpherePoint)
+    if not point:
+        x = _point_rows(x)
     gx = g.apply(x)
     if action.label is ActionLabel.TAU_PLUS:
         return gx, v.copy()
     if action.label is ActionLabel.TAU_MINUS:
         return gx, g.sign * v
     field = action.chi_variant.field
+    # Fiber membership over x is required.  Under TAU_TILDE the ambient vector
+    # is carried along unchanged (and lands in the fiber over gx because chi is odd).
+    lam = field.fiber_coordinate(x.vec if point else x, v)
     if action.label is ActionLabel.TAU_TILDE:
-        # Fiber membership over x is required; the ambient vector is carried
-        # along unchanged (and lands in the fiber over gx because chi is odd).
-        field.fiber_coordinate(x.vec, v)
         return gx, v.copy()
     # TAU_PRIME
-    lam = field.fiber_coordinate(x.vec, v)
-    return gx, g.sign * lam * field.frame(gx)
+    if point:
+        return gx, g.sign * lam * field.frame(gx)
+    return gx, (g.sign * lam)[:, None] * field.vector(gx)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from conftest import chart_edge_points
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbundles.config_space import (
     ATLAS,
@@ -306,6 +307,35 @@ def test_scalar_chart_queries_match_array_reference(p):
         else:
             with pytest.raises(ChartDomainError):
                 chart_map(a, q)
+
+
+@given(st.lists(chart_edge_points(), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_point_query_array_forms_match_scalar_forms(ps):
+    # An (N, 3) array gives, row by row, what each SpherePoint gives.
+    xs = np.array([p.vec for p in ps])
+    assert np.array_equal(antipode(xs), [antipode(p).vec for p in ps])
+    reps = project(xs)
+    assert np.array_equal(reps, [project(p).vec for p in ps])
+    assert reps.tobytes() == b"".join(_bits(project(p)) for p in ps)
+    for a in CHART_INDICES:
+        assert np.array_equal(chart_contains(a, xs), [chart_contains(a, p) for p in ps])
+        assert np.array_equal(partition_phi(a, xs), [partition_phi(a, p) for p in ps])
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.array([0.6, 0.0, 0.8]),  # one point needs a SpherePoint
+        np.zeros((2, 2)),
+        np.array([[0.6, 0.0, 0.8], [0.6, 0.0, 0.7]]),  # second row off the sphere
+        np.array([[np.nan, 0.0, 1.0]]),
+    ],
+)
+def test_point_query_array_forms_check_every_row(xs):
+    for query in (project, lambda q: chart_contains(1, q), lambda q: partition_phi(3, q)):
+        with pytest.raises(GeometryError):
+            query(xs)
 
 
 def test_sample_sphere_deterministic():

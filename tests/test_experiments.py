@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import sys
 
@@ -9,7 +10,19 @@ from spinbundles.errors import ConfigError, ParityError
 from spinbundles.line_bundle import ChiVariant
 from spinbundles import berry_robbins as br
 from spinbundles import config_space, kernels, line_bundle, section_algebra
-from spinbundles.config_space import sample_sphere
+from spinbundles.config_space import (
+    ATLAS,
+    CHART_INDICES,
+    GroupElement,
+    SpherePoint,
+    antipode,
+    chart_contains,
+    chart_inverse,
+    chart_map,
+    partition_phi,
+    project,
+    sample_sphere,
+)
 from spinbundles.section_algebra import (
     coordinate_field,
     odd_from_section,
@@ -298,7 +311,11 @@ def _sign_flipped_singlet(singlet):
 #     in exchange.moved-orthonormal tells them apart;
 #   singlet_vector sign-flipped: product_vector reads singlet_vector at call
 #     time while the frames' lift was built at import, so the two disagree in
-#     exchange.moved-orthonormal as well.
+#     exchange.moved-orthonormal as well;
+#   project as the identity: every chart query is even in x, so only the
+#     representatives compared in base.project-antipode see it;
+#   sample_sphere folded into one octant: the samples still lie on the
+#     sphere, so only the signs that charts.cover counts on them show it.
 # One mutant is equivalent and has no row: holonomy dropping the imaginary
 # part of h. Every loop the suite transports has a real holonomy, +1 or -1 to
 # rounding, so no check can tell the two apart.
@@ -310,6 +327,12 @@ MUTANTS = {
     "antipode-identity": (
         config_space, "antipode", lambda f: lambda p: p,
         {"base.antipode-free", "bundle.action-involution"},
+    ),
+    "project-identity": (
+        config_space, "project", lambda f: lambda p: p, {"base.project-antipode"},
+    ),
+    "sample_sphere-one-octant": (
+        config_space, "sample_sphere", lambda f: lambda n, rng: np.abs(f(n, rng)), {"charts.cover"},
     ),
     "chart_contains-true": (
         config_space, "chart_contains", lambda f: lambda a, q: True, {"charts.cocycle"},
@@ -450,4 +473,83 @@ def _per_member_loops(seed: int, samples: int) -> dict:
 def test_family_checks_match_per_member_loops(cached_suite, seed):
     residuals = {c.check_id: c.residual for c in cached_suite(seed=seed, **SMALL).checks}
     for check_id, expected in _per_member_loops(seed, SMALL["samples"]).items():
+        assert residuals[check_id] == expected, check_id
+
+
+def _per_point_loops(seed: int, samples: int) -> dict:
+    """The base, chart and bundle checks of run_suite as loops over one
+    SpherePoint at a time, on the stream run_suite draws them from."""
+    rng = np.random.default_rng(seed)
+    xs = sample_sphere(samples, rng)
+    points = [SpherePoint(*v) for v in xs.tolist()]
+    qs = [project(x) for x in points]
+    out = {}
+    flipped = np.array([(y.x1, y.x2, y.x3) for y in map(antipode, points)])
+    out["base.antipode-free"] = np.abs(np.linalg.norm(xs - flipped, axis=1) - 2).max()
+    reps = np.array([q.vec for q in qs[:256]])
+    reps_neg = np.array([project(-x).vec for x in points[:256]])
+    out["base.project-antipode"] = np.abs(reps - reps_neg).max()
+    phi = np.array([[partition_phi(a, q) for a in CHART_INDICES] for q in qs])
+    out["charts.partition-unity"] = np.abs((phi**2).sum(axis=1) - 1.0).max()
+    signs = {(i, c > 0) for x in points for i, c in enumerate((x.x1, x.x2, x.x3)) if c != 0.0}
+    out["charts.cover"] = max(max(0.0, 1.0 / np.sqrt(3.0) - 1e-12 - phi.max(axis=1).min()), 6 - len(signs))
+    worst = 0.0
+    for q in qs[:128]:
+        inside = ATLAS.charts_containing(q)
+        direct = {b: chart_map(b, q) for b in inside}
+        for a in inside:
+            back = chart_inverse(a, direct[a])
+            for b in inside:
+                again = chart_map(b, back)
+                worst = max(worst, abs(direct[b][0] - again[0]), abs(direct[b][1] - again[1]))
+    out["charts.transition-geometry"] = worst
+    boundary = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1e-13, 0.6, 0.8)]
+    worst = 0.0
+    for q in [*qs[:512], *(project(SpherePoint(*v)) for v in boundary)]:
+        inside = [a for a in CHART_INDICES if chart_contains(a, q)]
+        sign = {(a, b): line_bundle.transition(a, b, q) for a in inside for b in inside}
+        for a, b, c in itertools.product(inside, repeat=3):
+            worst = max(worst, abs(sign[a, b] * sign[b, c] - sign[a, c]))
+        z = (0.3 - 0.7j) * line_bundle.chi(ChiVariant.ODD_LINEAR, q)
+        fiber = {a: line_bundle.local_trivialization(a, q, z) for a in inside}
+        for a, b in itertools.product(inside, repeat=2):
+            worst = max(worst, abs(fiber[b] - sign[a, b] * fiber[a]))
+        a = inside[0]
+        worst = max(worst, abs(line_bundle.local_trivialization(a, q, 1j * z) - 1j * fiber[a]))
+    out["charts.cocycle"] = worst
+    g = GroupElement(-1)
+    worst = 0.0
+    actions = (line_bundle.tau_plus(), line_bundle.tau_minus(), line_bundle.tau_tilde(), line_bundle.tau_prime())
+    for x, lam in zip(points[:64], np.linspace(-2, 2, 64)):
+        for action in actions:
+            if action.chi_variant is not None:
+                vec = (lam + 0.5j) * line_bundle.chi(action.chi_variant, x)
+            else:
+                vec = np.array([lam, 0.2j, 1.0])
+            y1, w1 = line_bundle.group_act(action, g, x, vec)
+            y2, w2 = line_bundle.group_act(action, g, y1, w1)
+            worst = max(
+                worst,
+                float(np.linalg.norm(y1.vec + x.vec)),
+                float(np.linalg.norm(y2.vec - x.vec)),
+                float(np.abs(w2 - vec).max()),
+            )
+    out["bundle.action-involution"] = worst
+    worst = 0.0
+    for x, lam in zip(points[:1000], rng.standard_normal(1000) + 1j * rng.standard_normal(1000)):
+        z = lam * line_bundle.chi(ChiVariant.ODD_LINEAR, x)
+        _, moved = line_bundle.group_act(line_bundle.tau_tilde(), g, x, z)
+        coeff = ChiVariant.ODD_LINEAR.field.fiber_coordinate(-x.vec, moved)
+        worst = max(worst, abs(coeff - (-lam)))
+    out["bundle.tilde-equals-minus"] = worst
+    return out
+
+
+@pytest.mark.parametrize(
+    "seed, scale", [(0, SMALL), (1, SMALL), (2, SMALL), (0, {})], ids=["0-small", "1-small", "2-small", "0-default"]
+)
+def test_point_checks_match_per_point_loops(cached_suite, seed, scale):
+    residuals = {c.check_id: c.residual for c in cached_suite(seed=seed, **scale).checks}
+    samples = scale.get("samples", SuiteConfig.samples)
+    for check_id, expected in _per_point_loops(seed, samples).items():
         assert residuals[check_id] == expected, check_id

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from conftest import chart_edge_points
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinbundles.config_space import (
     ATLAS,
@@ -12,6 +13,7 @@ from spinbundles.config_space import (
     COORD_EPS,
     GroupElement,
     SpherePoint,
+    antipode,
     chart_contains,
     chart_map,
     partition_phi,
@@ -332,6 +334,106 @@ def test_non_finite_vectors_lie_in_no_fiber(bad, where):
     arc = antipodal_arc(x, SpherePoint(0.0, 1.0, 0.0))
     with pytest.raises(FiberMembershipError):
         parallel_transport(ChiVariant.ODD_LINEAR.field, arc, z, MIN_STEPS)
+
+
+_ACTIONS = (tau_plus(), tau_minus(), tau_tilde(), tau_prime())
+
+
+def _fiber_rows(ps, frame):
+    """One fiber vector per point: lam_i * frame(p_i), with distinct lam_i."""
+    return np.array([(0.3 - 0.7j + 0.25 * i) * frame(p) for i, p in enumerate(ps)])
+
+
+def _action_vectors(action, ps):
+    if action.chi_variant is None:
+        return np.array([[0.5 * i, 0.2j, 1.0] for i in range(len(ps))], dtype=complex)
+    return _fiber_rows(ps, action.chi_variant.field.frame)
+
+
+def _assert_same_rows(array_call, point_calls, error):
+    """The array form equals the one-point forms row by row, or raises error
+    when any one-point form does."""
+    try:
+        expected = [call() for call in point_calls]
+    except error:
+        with pytest.raises(error):
+            array_call()
+        return
+    assert np.array_equal(array_call(), expected)
+
+
+@given(st.lists(chart_edge_points(), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_bundle_array_forms_match_scalar_forms(ps):
+    xs = np.array([p.vec for p in ps])
+    for a, b in itertools.product(CHART_INDICES, repeat=2):
+        _assert_same_rows(
+            lambda: transition(a, b, xs), [lambda p=p: transition(a, b, p) for p in ps], ChartDomainError
+        )
+    z = _fiber_rows(ps, ChiVariant.ODD_LINEAR.field.frame)
+    for a in CHART_INDICES:
+        _assert_same_rows(
+            lambda: local_trivialization(a, xs, z),
+            [lambda p=p, v=v: local_trivialization(a, p, v) for p, v in zip(ps, z)],
+            ChartDomainError,
+        )
+    for variant in ChiVariant:
+        field = variant.field
+        zv = _fiber_rows(ps, field.frame)
+        lam = field.fiber_coordinate(xs, zv)
+        assert np.array_equal(lam, [field.fiber_coordinate(p.vec, v) for p, v in zip(ps, zv)])
+    for action, g in itertools.product(_ACTIONS, (G, GroupElement(1))):
+        vec = _action_vectors(action, ps)
+        ys, ws = group_act(action, g, xs, vec)
+        rows = [group_act(action, g, p, v) for p, v in zip(ps, vec)]
+        assert np.array_equal(ys, [y.vec for y, _ in rows])
+        assert np.array_equal(ws, [w for _, w in rows])
+
+
+def _off_line(z, u, kind):
+    """z moved off the line of the unit vector u by 1e-6 |z|, or made NaN."""
+    if kind == "nan":
+        return np.full_like(z, np.nan)
+    j = int(np.argmin(np.abs(u)))
+    w = -np.conj(u[j]) * u
+    w[j] += 1.0
+    return z + 1e-6 * np.linalg.norm(z) * w / np.linalg.norm(w)
+
+
+@given(st.lists(chart_edge_points(), min_size=1, max_size=6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bundle_array_forms_refuse_any_off_fiber_row(ps, data):
+    xs = np.array([p.vec for p in ps])
+    k = data.draw(st.integers(0, len(ps) - 1))
+    kind = data.draw(st.sampled_from(("tilt", "nan")))
+    for variant in ChiVariant:
+        field = variant.field
+        z = _fiber_rows(ps, field.frame)
+        z[k] = _off_line(z[k], field.frame(ps[k]), kind)
+        with pytest.raises(FiberMembershipError):
+            field.fiber_coordinate(ps[k].vec, z[k])
+        with pytest.raises(FiberMembershipError):
+            field.fiber_coordinate(xs, z)
+        for action in [tau_prime(variant)] + ([tau_tilde(variant)] if variant.is_odd else []):
+            with pytest.raises(FiberMembershipError):
+                group_act(action, G, xs, z)
+        if variant is ChiVariant.ODD_LINEAR:
+            for a in CHART_INDICES:
+                if chart_contains(a, xs).all():
+                    with pytest.raises(FiberMembershipError):
+                        local_trivialization(a, xs, z)
+
+
+def test_bundle_array_forms_refuse_any_off_chart_row():
+    xs = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])  # the first row lies outside U_2
+    z = xs.astype(complex)
+    with pytest.raises(ChartDomainError):
+        transition(2, 3, xs)
+    with pytest.raises(ChartDomainError):
+        local_trivialization(2, xs, z)
+    assert np.array_equal(transition(1, 3, xs[:1]), [1]) and np.array_equal(antipode(xs), -xs)
+    with pytest.raises(GeometryError):
+        group_act(tau_plus(), G, np.array([[0.6, 0.0, 0.7]]), z[:1])
 
 
 def test_action_binding_requirements():
