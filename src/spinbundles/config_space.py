@@ -11,11 +11,11 @@ either representative; like project and chart_inverse they read a point's
 own float coordinates.  SpherePoint.vec builds a fresh array and is for
 array callers.
 
-antipode, project, chart_contains and partition_phi take a SpherePoint or
-an (N, 3) array of unit vectors, one point per row; an array gives an array
-of the per-point answers, equal row by row to the SpherePoint form, and
-every row is checked.  chart_map, chart_inverse and charts_containing take
-a SpherePoint only.
+antipode, project, chart_contains, chart_map and partition_phi take a
+SpherePoint or an (N, 3) array of unit vectors, one point per row, and
+chart_inverse takes a pair of floats or a pair of (N,) arrays; an array gives
+an array of the per-point answers, equal row by row to the scalar form, and
+every row is checked.  charts_containing takes a SpherePoint only.
 """
 from __future__ import annotations
 
@@ -165,28 +165,32 @@ def chart_contains(alpha: int, q: SpherePoint | np.ndarray) -> bool | np.ndarray
     return np.abs(_point_rows(q)[:, alpha - 1]) > COORD_EPS
 
 
-def chart_map(alpha: int, q: SpherePoint) -> tuple[float, float]:
+def chart_map(alpha: int, q: SpherePoint | np.ndarray) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Affine coordinates on U_alpha: the two remaining coordinate ratios.
 
     alpha=1 -> (x2/x1, x3/x1); alpha=2 -> (x1/x2, x3/x2); alpha=3 -> (x1/x3, x2/x3).
     Ratios are even in x, so the value does not depend on the representative.
+    An (N, 3) array gives the pair of (N,) coordinate arrays; every row must
+    lie in U_alpha.
     """
     _check_alpha(alpha)
-    v = [q.x1, q.x2, q.x3]
-    d = v.pop(alpha - 1)
-    if abs(d) <= COORD_EPS:
+    if isinstance(q, SpherePoint):
+        v = [q.x1, q.x2, q.x3]
+        d = v.pop(alpha - 1)
+        if abs(d) <= COORD_EPS:
+            raise ChartDomainError(f"point outside chart U_{alpha}")
+        return v[0] / d, v[1] / d
+    xs = _point_rows(q)
+    d = xs[:, alpha - 1]
+    if not (np.abs(d) > COORD_EPS).all():
         raise ChartDomainError(f"point outside chart U_{alpha}")
-    return v[0] / d, v[1] / d
+    i, j = (k for k in range(3) if k != alpha - 1)
+    return xs[:, i] / d, xs[:, j] / d
 
 
-def chart_inverse(alpha: int, uv) -> SpherePoint:
-    """Inverse of chart_map: insert 1 at slot alpha, normalize, project.
-
-    Any finite pair is a chart coordinate; where its norm overflows, (1, u, w)
-    is first scaled by an exact power of two.
-    """
-    _check_alpha(alpha)
-    one, u, w = 1.0, float(uv[0]), float(uv[1])
+def _lift(alpha: int, u, w) -> list[float]:
+    # (u, w) with 1 inserted at slot alpha, divided by the three-argument hypot.
+    one, u, w = 1.0, float(u), float(w)
     if not (math.isfinite(u) and math.isfinite(w)):
         raise GeometryError(f"chart coordinates must be finite, got ({u!r}, {w!r})")
     n = math.hypot(one, u, w)
@@ -196,7 +200,24 @@ def chart_inverse(alpha: int, uv) -> SpherePoint:
         n = math.hypot(one, u, w)
     v = [u / n, w / n]
     v.insert(alpha - 1, one / n)
-    return project(SpherePoint(*v))
+    return v
+
+
+def chart_inverse(alpha: int, uv) -> SpherePoint | np.ndarray:
+    """Inverse of chart_map: insert 1 at slot alpha, normalize, project.
+
+    Any finite pair is a chart coordinate; where its norm overflows, (1, u, w)
+    is first scaled by an exact power of two.  A pair of (N,) arrays gives
+    the (N, 3) array of points, each row normalized as a pair of floats is.
+    """
+    _check_alpha(alpha)
+    if not (isinstance(uv[0], np.ndarray) and uv[0].ndim):
+        return project(SpherePoint(*_lift(alpha, uv[0], uv[1])))
+    u, w = (np.asarray(c, dtype=float) for c in uv)
+    if u.ndim != 1 or u.shape != w.shape:
+        raise GeometryError(f"chart coordinates need two (N,) arrays, not {u.shape} and {w.shape}")
+    rows = [_lift(alpha, a, b) for a, b in zip(u.tolist(), w.tolist())]
+    return project(np.array(rows, dtype=float).reshape(-1, 3))
 
 
 def partition_phi(alpha: int, q: SpherePoint | np.ndarray) -> float | np.ndarray:

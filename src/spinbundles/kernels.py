@@ -9,13 +9,16 @@ For a linear ODE one RK4 step is v -> T_i v, with T_i a matrix polynomial in
 the step's three samples; every product of generators in it has a 2x2 core
 G_x^H F_y, so the increment D_i = T_i - I is one n x 6 by 6 x n product
 built from the factors and a handful of per-step scalars.  The kernel writes
-every increment at once into the zero-padded buffer of a blocked prefix
-scan: about sqrt(steps) steps per block, batched prefix products inside all
-blocks together, then one matrix-vector product per block to carry v across
-blocks to the endpoint v(1), the only node it returns.  The prefix products
-are kept as increments P - I: adding the identity into every product would
-round the small increments against 1 at each step.  Everything is numpy;
-there is no compiled backend.
+the increments into the zero-padded buffer of a blocked prefix scan, one
+contiguous range of steps at a time, so that the factor stacks, cores and
+rows it builds them from never span more than one range: each increment
+reads only its own step's three nodes, so the ranges change no bit of it.
+The scan then takes about sqrt(steps) steps per block, batched prefix
+products inside all blocks together, then one matrix-vector product per
+block to carry v across blocks to the endpoint v(1), the only node it
+returns.  The prefix products are kept as increments P - I: adding the
+identity into every product would round the small increments against 1 at
+each step.  Everything is numpy; there is no compiled backend.
 """
 
 from __future__ import annotations
@@ -25,6 +28,11 @@ import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
+
+# Steps per range of the increment build: CHUNK_BYTES // (160 n), at ten
+# complex n-vectors a step.  One range's temporaries then peak at 2.5-4 MiB
+# for n = 2..10, whatever the number of steps.
+CHUNK_BYTES = 1 << 20
 
 
 def numba_available() -> bool:
@@ -54,15 +62,16 @@ def _rows(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     return k[:, 0] * g[0] + k[:, 1] * g[1]
 
 
-def _step_increments(u: np.ndarray, w: np.ndarray, h: float, rows: int) -> np.ndarray:
-    # D_i = T_i - I, written into the first steps of `rows` zero slots, from
-    # the factors F = [w, -u], G = [u, w] of A = F G^H at the step's nodes
-    # 0, m, 1.  Each product of generators has a 2x2 core C_xy = G_x^H F_y,
-    # so D = (h/6) [F_0 F_m F_1] K [G_0 G_m G_1]^H with the 6x6 block-triangular
+def _step_increments(u: np.ndarray, w: np.ndarray, h: float, out: np.ndarray) -> np.ndarray:
+    # D_i = T_i - I for each step of the nodes u, w, written into `out` and
+    # returned, from the factors F = [w, -u], G = [u, w] of A = F G^H at the
+    # step's nodes 0, m, 1.  Each product of generators has a 2x2 core
+    # C_xy = G_x^H F_y, so D = (h/6) [F_0 F_m F_1] K [G_0 G_m G_1]^H with the
+    # 6x6 block-triangular
     #   K = [[I, 0, 0], [K_m0, 4I + h C_mm, 0], [h^3/4 C_1m C_mm C_m0, K_1m, I]],
     #   K_m0 = h C_m0 + h^2/2 C_mm C_m0,  K_1m = h C_1m + h^2/2 C_1m C_mm.
     # The core algebra runs on per-step scalar arrays; only the last product
-    # is n x n, written straight into the buffer, which is allocated last.
+    # is n x n.
     fw = _windows(np.stack([w, -u], axis=1))  # rows of F^T = [w, -u] per node
     gh = np.stack([u, w])  # rows of G^H = [u, w]^H per node
     np.conjugate(gh, out=gh)
@@ -84,10 +93,9 @@ def _step_increments(u: np.ndarray, w: np.ndarray, h: float, rows: int) -> np.nd
     right[0:2] = g0
     right[2:4] = _rows(k_m0, g0) + _rows(k_mm, gm)
     right[4:6] = _rows(k_10, g0) + _rows(k_1m, gm) + g1
-    q = np.zeros((rows, fw.shape[2], fw.shape[2]), dtype=np.complex128)
-    d = np.matmul(fw.transpose(0, 2, 1), right.transpose(1, 0, 2), out=q[: fw.shape[0]])
+    d = np.matmul(fw.transpose(0, 2, 1), right.transpose(1, 0, 2), out=out)
     d *= h / 6.0
-    return q
+    return d
 
 
 def _blocked_scan(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -122,6 +130,14 @@ def rk4_transport_path(u: np.ndarray, w: np.ndarray, h: float, v0: np.ndarray) -
     steps, n = (u.shape[0] - 1) // 2, u.shape[1]
     if not steps:
         return v0.copy()
+    h = float(h)
     block = math.ceil(math.sqrt(steps))
-    q = _step_increments(u, w, float(h), -(-steps // block) * block)
+    q = np.zeros((-(-steps // block) * block, n, n), dtype=np.complex128)
+    chunk = max(1, CHUNK_BYTES // (160 * n))
+    for s0 in range(0, steps, chunk):
+        s1 = min(s0 + chunk, steps)
+        nodes = slice(2 * s0, 2 * s1 + 1)
+        # The increments fill the slice they are handed and come back as it;
+        # numpy skips assigning an array onto itself.
+        q[s0:s1] = _step_increments(u[nodes], w[nodes], h, q[s0:s1])
     return _blocked_scan(q.reshape(-1, block, n, n), v0)

@@ -162,7 +162,9 @@ def parallel_transport(
     the fiber at the start point; the result stays in the moving fiber and
     keeps its norm up to the integration error.  Every node must be on the sphere.
     Where w vanishes at every node (a constant line) the result is a copy of
-    v0, without integrating.
+    v0, without integrating.  The working memory is the frames u and w,
+    2 * steps + 1 rows each, and the kernel's (steps, n, n) scan buffer; the
+    increments are built into it a bounded range of steps at a time.
     """
     if steps < MIN_STEPS:
         raise GeometryError(f"steps must be at least {MIN_STEPS}")

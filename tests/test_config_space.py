@@ -321,6 +321,14 @@ def test_point_query_array_forms_match_scalar_forms(ps):
     for a in CHART_INDICES:
         assert np.array_equal(chart_contains(a, xs), [chart_contains(a, p) for p in ps])
         assert np.array_equal(partition_phi(a, xs), [partition_phi(a, p) for p in ps])
+        inside = [p for p in ps if chart_contains(a, p)]
+        coords = chart_map(a, xs[chart_contains(a, xs)])
+        assert np.array_equal(np.column_stack(coords), np.reshape([chart_map(a, p) for p in inside], (-1, 2)))
+        back = chart_inverse(a, coords)
+        assert back.tobytes() == b"".join(_bits(chart_inverse(a, chart_map(a, p))) for p in inside)
+        if len(inside) < len(ps):
+            with pytest.raises(ChartDomainError):
+                chart_map(a, xs)
 
 
 @pytest.mark.parametrize(
@@ -333,9 +341,35 @@ def test_point_query_array_forms_match_scalar_forms(ps):
     ],
 )
 def test_point_query_array_forms_check_every_row(xs):
-    for query in (project, lambda q: chart_contains(1, q), lambda q: partition_phi(3, q)):
+    for query in (
+        project,
+        lambda q: chart_contains(1, q),
+        lambda q: chart_map(1, q),
+        lambda q: partition_phi(3, q),
+    ):
         with pytest.raises(GeometryError):
             query(xs)
+
+
+@pytest.mark.parametrize(
+    "uv",
+    [
+        (np.array([0.5, np.inf]), np.array([0.0, 1.0])),  # second row not finite
+        (np.array([0.5, 1.0]), np.array([np.nan, 1.0])),
+        (np.array([0.5, 1.0]), np.array([0.0])),  # rows of different counts
+        (np.zeros((2, 2)), np.zeros((2, 2))),
+        (np.array([0.5]), 0.5),
+    ],
+)
+def test_chart_inverse_array_form_checks_every_row(uv):
+    with pytest.raises(GeometryError):
+        chart_inverse(2, uv)
+
+
+def test_chart_inverse_array_form_scales_overflowing_rows():
+    uv = (np.array([0.5, _DBL_MAX, 1e200]), np.array([-0.5, -_DBL_MAX, 1e200]))
+    rows = chart_inverse(3, uv)
+    assert rows.tobytes() == b"".join(_bits(chart_inverse(3, (u, w))) for u, w in zip(*uv))
 
 
 def test_sample_sphere_deterministic():

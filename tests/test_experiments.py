@@ -383,7 +383,7 @@ MUTANTS = {
         {"experiment.invariance-needs-odd", "sections.invariance-detects"},
     ),
     "rk4-increments-scaled": (
-        kernels, "_step_increments", lambda f: lambda u, w, h, rows: 1.2 * f(u, w, h, rows),
+        kernels, "_step_increments", lambda f: lambda u, w, h, out: 1.2 * f(u, w, h, out),
         {
             "br.holonomy-decomposition",
             "br.transport-crosscheck",

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinbundles import kernels
+from spinbundles.berry_robbins import TRIPLET_MS, exchange_line_field
+from spinbundles.config_space import SpherePoint
+from spinbundles.transport import _horizontal_frame, great_circle
 
 
 def _sequential_rk4(u, w, h, v0):
@@ -116,3 +121,84 @@ def test_norm_preserved_for_smooth_antihermitian_generator(rng):
     v0 = np.array([1.0, 1.0j, -0.5])
     out = kernels.rk4_transport_path(u, w, 1.0 / steps, v0)
     assert abs(np.linalg.norm(out) - np.linalg.norm(v0)) < 1e-8
+
+
+def _whole_path_increments(u, w, h, rows):
+    """Reference: every step's increment built at once, as one set of factor
+    stacks, cores and rows over the whole path, in `rows` zero slots."""
+    fw = kernels._windows(np.stack([w, -u], axis=1))
+    gh = np.stack([u, w])
+    np.conjugate(gh, out=gh)
+    g0, gm, g1 = gh[:, 0:-1:2], gh[:, 1::2], gh[:, 2::2]
+    c = np.empty((3, 2, 2, fw.shape[0], 1), dtype=np.complex128)
+    for x, (gx, y) in enumerate(((gm, 0), (gm, 2), (g1, 2))):
+        for i in range(2):
+            for j in range(2):
+                np.einsum("sn,sn->s", gx[i], fw[:, y + j], out=c[x, i, j, :, 0])
+    c_m0, c_mm, c_1m = c
+    c_1mm = kernels._mul(c_1m, c_mm)
+    k_m0 = h * c_m0 + (0.5 * h * h) * kernels._mul(c_mm, c_m0)
+    k_mm = h * c_mm
+    k_mm[0, 0] += 4.0
+    k_mm[1, 1] += 4.0
+    k_1m = h * c_1m + (0.5 * h * h) * c_1mm
+    k_10 = (0.25 * h**3) * kernels._mul(c_1mm, c_m0)
+    right = np.empty((6,) + g0.shape[1:], dtype=np.complex128)
+    right[0:2] = g0
+    right[2:4] = kernels._rows(k_m0, g0) + kernels._rows(k_mm, gm)
+    right[4:6] = kernels._rows(k_10, g0) + kernels._rows(k_1m, gm) + g1
+    q = np.zeros((rows, fw.shape[2], fw.shape[2]), dtype=np.complex128)
+    d = np.matmul(fw.transpose(0, 2, 1), right.transpose(1, 0, 2), out=q[: fw.shape[0]])
+    d *= h / 6.0
+    return q
+
+
+def _whole_path_endpoint(u, w, h, v0):
+    steps, n = (u.shape[0] - 1) // 2, u.shape[1]
+    block = math.ceil(math.sqrt(steps))
+    q = _whole_path_increments(u, w, h, -(-steps // block) * block)
+    return kernels._blocked_scan(q.reshape(-1, block, n, n), v0)
+
+
+_RANGE_STEPS = [16, 17, 1000, 1024, 4096, 5000]
+
+
+def _moved_line_frame(m, steps):
+    curve = great_circle(SpherePoint.from_direction([0.3, -0.5, 0.8]), [1.0, 0.4, 0.0])
+    return _horizontal_frame(exchange_line_field(m), curve, steps)
+
+
+@pytest.mark.parametrize("steps", _RANGE_STEPS)
+@pytest.mark.parametrize("case", ["random-2", "random-3", "random-10", *(f"moved-line-{m}" for m in TRIPLET_MS)])
+def test_ranged_increments_match_the_whole_path_build_bit_for_bit(case, steps):
+    # Each increment reads only its own step's three nodes, so building the
+    # increments one range of steps at a time changes no bit of the endpoint.
+    rng = np.random.default_rng(steps)
+    if case.startswith("random"):
+        n = int(case.rpartition("-")[2])
+        u, w = _random_frame(rng, n, steps)
+    else:
+        u, w = _moved_line_frame(int(case.rpartition("-")[2]), steps)
+        n = u.shape[1]
+    v0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    end = kernels.rk4_transport_path(u, w, 1.0 / steps, v0)
+    assert end.tobytes() == _whole_path_endpoint(u, w, 1.0 / steps, v0).tobytes()
+
+
+@pytest.mark.parametrize("n, steps", [(2, 5000), (3, 4096), (10, 1000), (10, 5000)])
+def test_increments_are_built_in_bounded_ranges(monkeypatch, rng, n, steps):
+    # Contiguous ranges cover every step once, and none spans more steps
+    # than CHUNK_BYTES allows at about 160 n bytes a step.
+    spans = []
+    original = kernels._step_increments
+
+    def recording(u, w, h, out):
+        spans.append((u.shape[0] - 1) // 2)
+        assert out.shape[0] == spans[-1]
+        return original(u, w, h, out)
+
+    monkeypatch.setattr(kernels, "_step_increments", recording)
+    u, w = _random_frame(rng, n, steps)
+    kernels.rk4_transport_path(u, w, 1.0 / steps, np.ones(n, dtype=complex))
+    assert sum(spans) == steps and len(spans) > 1
+    assert max(spans) * 160 * n <= kernels.CHUNK_BYTES

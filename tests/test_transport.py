@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import constant_curve
@@ -692,3 +694,23 @@ def test_frame_keeps_ordinary_inputs_bit_for_bit(rng):
         ww = w - (w @ uu) * uu
         fu, fw = _frame(u, w)
         assert np.array_equal(fu, uu) and np.array_equal(fw, ww / np.linalg.norm(ww))
+
+
+@pytest.mark.parametrize(
+    "field_name, steps, bound_mib",
+    [("moved-line-1", 4096, 12.5), ("odd-linear", 16384, 10.0)],
+)
+def test_transport_memory_is_the_scan_buffer_plus_bounded_ranges(field_name, steps, bound_mib):
+    # The (steps, n, n) scan buffer, the frames and one range of increment
+    # temporaries: 6.3 MiB of buffer for the moved line, 2.3 MiB for odd-linear.
+    field, _ = _LINEAR_FIELDS[field_name]
+    arc = antipodal_arc(E1, E3)
+    v0 = field.vector(arc(0.0))
+    parallel_transport(field, arc, v0, steps)
+    tracemalloc.start()
+    try:
+        parallel_transport(field, arc, v0, steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20
